@@ -1,26 +1,18 @@
 // Verification-aware candidate pruning (DESIGN.md §17): cheap probes
 // against ColumnStats kill candidates before EM evaluation. Over the
 // Table 6 dataset (embedded articles + scaled synthetic corpus) this bench
-// measures pruning on two rungs of the Table 6 strategy ladder, running
-// the full check twice per rung — probe_pruning on and off, all checkers
-// adopting the same fragment catalog so the candidate spaces are
-// identical:
-//
-//   naive rung:        per-candidate evaluation, the Fig. 8 cost model the
-//                      probe attacks — every pruned candidate skips a full
-//                      scan, so wall-clock tracks the candidate count.
-//                      This is where the end-to-end speedup gate lives.
-//   merged-cached rung: the engine's merged-cube/plan-cache sharing
-//                      already collapses per-candidate cost, and charge
-//                      parity pins the scan set, so pruning shows up as
-//                      skipped aggregation kernels (dead slices), not
-//                      wall-clock — reported, not gated.
+// measures pruning on the naive rung of the Table 6 strategy ladder —
+// per-candidate evaluation, the Fig. 8 cost model the probe attacks, where
+// every pruned candidate skips a full scan. It runs the full check twice,
+// probe_pruning on and off, both checkers adopting the same fragment
+// catalog so the candidate spaces are identical. (Probing does not run on
+// the merged rungs: a merged cube computes a pruned candidate's slice in
+// the same scan as its neighbours, so skipping it does not pay.)
 //
 // Gates (scripts/check.sh probe-smoke runs --smoke): candidate reduction
 // >= 30%, naive-rung speedup >= x1.3, and pruned/unpruned reports
-// bit-identical on every case of both rungs. Results land in
-// BENCH_probe.json; the EXPERIMENTS.md Fig. 8 table is derived from the
-// full run.
+// bit-identical on every case. Results land in BENCH_probe.json; the
+// EXPERIMENTS.md Fig. 8 table is derived from the full run.
 
 #include <cstdio>
 #include <cstring>
@@ -87,18 +79,18 @@ int main(int argc, char** argv) {
   std::printf("corpus: %zu cases, %zu total rows (mode=%s)\n", cases.size(),
               total_rows, smoke ? "smoke" : "full");
 
-  // Untimed setup: four checkers per case (pruned/unpruned x naive/merged),
-  // all sharing one fragment catalog so every arm translates the identical
-  // candidate space and the timed region is pure translation+evaluation.
-  // All use the Table 6 evaluation regime (see bench_table6_runtime):
-  // widened per-claim scope so candidate evaluation dominates end-to-end
-  // time — the cost driver Fig. 8 identifies and the probe stage attacks.
-  Arm merged_on, merged_off, naive_on, naive_off;
+  // Untimed setup: two checkers per case (pruned/unpruned), sharing one
+  // fragment catalog so both arms translate the identical candidate space
+  // and the timed region is pure translation+evaluation. Both use the
+  // Table 6 evaluation regime (see bench_table6_runtime): widened per-claim
+  // scope so candidate evaluation dominates end-to-end time — the cost
+  // driver Fig. 8 identifies and the probe stage attacks.
+  Arm naive_on, naive_off;
   for (const corpus::CorpusCase& c : cases) {
-    core::CheckOptions base;
-    base.model.max_eval_per_claim = 800;
-    base.model.lucene_hits = 30;
-    core::CheckOptions on = base;
+    core::CheckOptions on;
+    on.model.max_eval_per_claim = 800;
+    on.model.lucene_hits = 30;
+    on.strategy = db::EvalStrategy::kNaive;
     on.probe_pruning = true;
     auto pruned = core::AggChecker::Create(&c.database, on);
     if (!pruned.ok()) {
@@ -106,66 +98,30 @@ int main(int argc, char** argv) {
                    pruned.status().ToString().c_str());
       return 1;
     }
-    base.prebuilt_catalog = pruned->shared_catalog();
-    core::CheckOptions off = base;
+    core::CheckOptions off = on;
+    off.prebuilt_catalog = pruned->shared_catalog();
     off.probe_pruning = false;
-    core::CheckOptions non = base;
-    non.probe_pruning = true;
-    non.strategy = db::EvalStrategy::kNaive;
-    core::CheckOptions noff = non;
-    noff.probe_pruning = false;
     auto unpruned = core::AggChecker::Create(&c.database, off);
-    auto naive_pruned = core::AggChecker::Create(&c.database, non);
-    auto naive_unpruned = core::AggChecker::Create(&c.database, noff);
-    if (!unpruned.ok() || !naive_pruned.ok() || !naive_unpruned.ok()) {
-      return 1;
-    }
-    merged_on.checkers.push_back(std::move(*pruned));
-    merged_off.checkers.push_back(std::move(*unpruned));
-    naive_on.checkers.push_back(std::move(*naive_pruned));
-    naive_off.checkers.push_back(std::move(*naive_unpruned));
+    if (!unpruned.ok()) return 1;
+    naive_on.checkers.push_back(std::move(*pruned));
+    naive_off.checkers.push_back(std::move(*unpruned));
   }
 
-  // Naive rung first (the Fig. 8 regime), unpruned reference before pruned.
+  // Unpruned reference before pruned.
   if (!RunArm(&naive_off, cases, "naive unpruned")) return 1;
   if (!RunArm(&naive_on, cases, "naive pruned")) return 1;
-  if (!RunArm(&merged_off, cases, "merged unpruned")) return 1;
-  if (!RunArm(&merged_on, cases, "merged pruned")) return 1;
 
   // Differential step (untimed): pruning must not move a single byte of
-  // any report, on either rung.
+  // any report.
   bool bit_identical = true;
-  model::ProbeStats probes, naive_probes;
-  size_t slices_skipped = 0;
-  db::EvalStats pruned_eval, unpruned_eval;
-  auto fold_eval = [](db::EvalStats* sum, const db::EvalStats& s) {
-    sum->execute_seconds += s.execute_seconds;
-    sum->query_seconds += s.query_seconds;
-    sum->cube_queries += s.cube_queries;
-    sum->rows_scanned += s.rows_scanned;
-    sum->probe_jobs_dead += s.probe_jobs_dead;
-    sum->probe_slices_total += s.probe_slices_total;
-    sum->probe_slice_rows_total += s.probe_slice_rows_total;
-    sum->probe_slice_rows_skipped += s.probe_slice_rows_skipped;
-  };
+  model::ProbeStats probes;
   for (size_t i = 0; i < cases.size(); ++i) {
-    if (core::FleetVerdictFingerprint(merged_on.reports[i]) !=
-        core::FleetVerdictFingerprint(merged_off.reports[i])) {
-      std::printf("BIT-IDENTITY VIOLATION (merged) on %s\n",
-                  cases[i].name.c_str());
-      bit_identical = false;
-    }
     if (core::FleetVerdictFingerprint(naive_on.reports[i]) !=
         core::FleetVerdictFingerprint(naive_off.reports[i])) {
-      std::printf("BIT-IDENTITY VIOLATION (naive) on %s\n",
-                  cases[i].name.c_str());
+      std::printf("BIT-IDENTITY VIOLATION on %s\n", cases[i].name.c_str());
       bit_identical = false;
     }
-    probes.Add(merged_on.reports[i].probe_stats);
-    naive_probes.Add(naive_on.reports[i].probe_stats);
-    slices_skipped += merged_on.reports[i].eval_stats.probe_slices_skipped;
-    fold_eval(&pruned_eval, merged_on.reports[i].eval_stats);
-    fold_eval(&unpruned_eval, merged_off.reports[i].eval_stats);
+    probes.Add(naive_on.reports[i].probe_stats);
   }
 
   const double reduction =
@@ -175,38 +131,19 @@ int main(int argc, char** argv) {
           : 0;
   const double naive_speedup =
       naive_on.seconds > 0 ? naive_off.seconds / naive_on.seconds : 0;
-  const double merged_speedup =
-      merged_on.seconds > 0 ? merged_off.seconds / merged_on.seconds : 0;
 
   std::printf("candidates probed:  %zu\n", probes.candidates_probed);
   std::printf("candidates pruned:  %zu (%.1f%%; gate: >= %.0f%%)\n",
               probes.candidates_pruned, reduction * 100,
               kReductionGate * 100);
-  std::printf("  by absent domain: %zu\n", probes.pruned_domain);
-  std::printf("  by magnitude:     %zu\n", probes.pruned_magnitude);
   std::printf("naive rung (per-candidate evaluation, Fig. 8 regime):\n");
   std::printf("  unpruned: %8.3fs   pruned: %8.3fs   speedup: x%.2f "
               "(gate: >= x%.1f)\n",
               naive_off.seconds, naive_on.seconds, naive_speedup,
               kSpeedupGate);
-  std::printf("merged+cached rung (shared scans pinned by charge parity):\n");
-  std::printf("  unpruned: %8.3fs   pruned: %8.3fs   speedup: x%.2f "
-              "(reported, not gated)\n",
-              merged_off.seconds, merged_on.seconds, merged_speedup);
   std::printf("  probe overhead %.3fs; top-k backfills: %zu\n",
               probes.probe_seconds, probes.backfilled);
-  std::printf("  dead slices: %zu of %zu; kernel rows skipped %zu of %zu "
-              "(%.1f%%); all-dead cube jobs %zu of %zu\n",
-              slices_skipped, pruned_eval.probe_slices_total,
-              pruned_eval.probe_slice_rows_skipped,
-              pruned_eval.probe_slice_rows_total,
-              pruned_eval.probe_slice_rows_total > 0
-                  ? 100.0 * pruned_eval.probe_slice_rows_skipped /
-                        pruned_eval.probe_slice_rows_total
-                  : 0.0,
-              pruned_eval.probe_jobs_dead, pruned_eval.cube_queries);
-  std::printf("bit-identity pruned-vs-unpruned over %zu cases x 2 rungs: "
-              "%s\n",
+  std::printf("bit-identity pruned-vs-unpruned over %zu cases: %s\n",
               cases.size(), bit_identical ? "OK" : "FAILED");
 
   if (FILE* out = std::fopen("BENCH_probe.json", "w")) {
@@ -215,31 +152,18 @@ int main(int argc, char** argv) {
     std::fprintf(out,
                  "  \"candidates_probed\": %zu,\n"
                  "  \"candidates_pruned\": %zu,\n"
-                 "  \"pruned_domain\": %zu,\n  \"pruned_magnitude\": %zu,\n"
-                 "  \"probe_conflicts\": %zu,\n  \"backfilled\": %zu,\n"
-                 "  \"slices_skipped\": %zu,\n  \"jobs_all_dead\": %zu,\n",
+                 "  \"probe_conflicts\": %zu,\n  \"backfilled\": %zu,\n",
                  probes.candidates_probed, probes.candidates_pruned,
-                 probes.pruned_domain, probes.pruned_magnitude,
-                 probes.probe_conflicts, probes.backfilled, slices_skipped,
-                 pruned_eval.probe_jobs_dead);
+                 probes.probe_conflicts, probes.backfilled);
     std::fprintf(out,
                  "  \"reduction\": %.4f,\n  \"reduction_gate\": %.2f,\n"
                  "  \"naive_unpruned_seconds\": %.6f,\n"
                  "  \"naive_pruned_seconds\": %.6f,\n"
                  "  \"naive_speedup\": %.3f,\n  \"speedup_gate\": %.1f,\n"
-                 "  \"naive_candidates_pruned\": %zu,\n"
-                 "  \"merged_unpruned_seconds\": %.6f,\n"
-                 "  \"merged_pruned_seconds\": %.6f,\n"
-                 "  \"merged_speedup\": %.3f,\n"
-                 "  \"probe_seconds\": %.6f,\n"
-                 "  \"kernel_rows_skipped\": %zu,\n"
-                 "  \"kernel_rows_total\": %zu,\n",
+                 "  \"probe_seconds\": %.6f,\n",
                  reduction, kReductionGate, naive_off.seconds,
                  naive_on.seconds, naive_speedup, kSpeedupGate,
-                 naive_probes.candidates_pruned, merged_off.seconds,
-                 merged_on.seconds, merged_speedup, probes.probe_seconds,
-                 pruned_eval.probe_slice_rows_skipped,
-                 pruned_eval.probe_slice_rows_total);
+                 probes.probe_seconds);
     std::fprintf(out, "  \"bit_identical\": %s,\n  ",
                  bit_identical ? "true" : "false");
     bench::WriteThreadReportJson(out, bench::MakeThreadReport(1));

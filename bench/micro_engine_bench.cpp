@@ -11,6 +11,7 @@
 #include "db/eval_engine.h"
 #include "db/joined_relation.h"
 #include "db/query_interner.h"
+#include "support/cube_oracle.h"
 #include "util/resource_governor.h"
 #include "util/thread_pool.h"
 
@@ -377,16 +378,18 @@ CubeKernelWorkload MakeKernelWorkload(int64_t fn_index, int64_t num_dims) {
   return workload;
 }
 
-void RunCubeKernelBench(benchmark::State& state, db::CubeExecMode mode) {
+/// `oracle` = the row-at-a-time reference kept in tests/support; otherwise
+/// the production cube pipeline.
+void RunCubeKernelBench(benchmark::State& state, bool oracle) {
   const db::Database& database = CubeKernelDatabase();
   CubeKernelWorkload workload =
       MakeKernelWorkload(state.range(0), state.range(1));
-  db::CubeExecOptions options;
-  options.mode = mode;
   for (auto _ : state) {
-    auto cube =
-        db::ExecuteCube(database, workload.dims, workload.literals,
-                        workload.aggs, nullptr, nullptr, options);
+    auto cube = oracle ? db::ExecuteCubeOracle(database, workload.dims,
+                                               workload.literals,
+                                               workload.aggs)
+                       : db::ExecuteCube(database, workload.dims,
+                                         workload.literals, workload.aggs);
     benchmark::DoNotOptimize(cube);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -394,10 +397,10 @@ void RunCubeKernelBench(benchmark::State& state, db::CubeExecMode mode) {
 }
 
 void BM_CubeKernelScalar(benchmark::State& state) {
-  RunCubeKernelBench(state, db::CubeExecMode::kScalarOracle);
+  RunCubeKernelBench(state, /*oracle=*/true);
 }
 void BM_CubeKernelVectorized(benchmark::State& state) {
-  RunCubeKernelBench(state, db::CubeExecMode::kVectorized);
+  RunCubeKernelBench(state, /*oracle=*/false);
 }
 
 // Per-function sweep at d=2, plus the dimension sweep d=1..4 on the

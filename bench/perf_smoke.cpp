@@ -1,9 +1,10 @@
 // Perf smoke gate (scripts/check.sh --perf-smoke), three checks:
 //
-//  1. Cube backend: the vectorized pipeline must beat the scalar oracle on
-//     the headline workload — a d=2 multi-aggregate cube at num_threads=1 —
-//     and must agree with it bit-for-bit. Catches a silent de-vectorization
-//     before the full micro-bench refresh runs.
+//  1. Cube backend: the production (vectorized) pipeline must beat the
+//     row-at-a-time scalar oracle kept in tests/support on the headline
+//     workload — a d=2 multi-aggregate cube at num_threads=1 — and must
+//     agree with it bit-for-bit. Catches a silent de-vectorization before
+//     the full micro-bench refresh runs.
 //  2. Engine: merged+cached evaluation over a PK-FK join workload must be
 //     >= 5x the naive cache-off path (the shared RelationCache plus query
 //     merging must actually pay), with bit-identical results; and with >= 2
@@ -30,6 +31,7 @@
 #include "db/database.h"
 #include "db/eval_engine.h"
 #include "db/relation_cache.h"
+#include "support/cube_oracle.h"
 #include "util/thread_pool.h"
 
 namespace aggchecker {
@@ -99,24 +101,23 @@ Workload MakeWorkload(const db::Database& database) {
   return w;
 }
 
-/// Best-of-kReps wall time for one mode; the materialized cube of the last
-/// rep is returned through `out` for the equivalence check.
-double TimeMode(const db::Database& database, const Workload& w,
-                db::CubeExecMode mode,
-                std::shared_ptr<db::CubeResult>* out) {
-  db::CubeExecOptions options;
-  options.mode = mode;
+/// Best-of-kReps wall time for one cube backend (`oracle` = the scalar
+/// reference, else production ExecuteCube); the materialized cube of the
+/// last rep is returned through `out` for the equivalence check.
+double TimeBackend(const db::Database& database, const Workload& w,
+                   bool oracle, std::shared_ptr<db::CubeResult>* out) {
   double best = 1e100;
   for (int rep = 0; rep < kReps; ++rep) {
     auto start = std::chrono::steady_clock::now();
-    auto cube = db::ExecuteCube(database, w.dims, w.literals, w.aggs,
-                                nullptr, nullptr, options);
+    auto cube =
+        oracle ? db::ExecuteCubeOracle(database, w.dims, w.literals, w.aggs)
+               : db::ExecuteCube(database, w.dims, w.literals, w.aggs);
     auto elapsed = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - start)
                        .count();
     if (!cube.ok()) {
       std::fprintf(stderr, "perf_smoke: %s execution failed: %s\n",
-                   db::CubeExecModeName(mode),
+                   oracle ? "scalar oracle" : "vectorized",
                    cube.status().ToString().c_str());
       std::exit(2);
     }
@@ -436,11 +437,10 @@ int RunSmoke() {
   std::shared_ptr<db::CubeResult> scalar_cube, vectorized_cube;
   // Warm lazy column representations outside the timed region for both
   // modes alike (the engine pre-warms them in its plan phase too).
-  double scalar = TimeMode(database, workload,
-                           db::CubeExecMode::kScalarOracle, &scalar_cube);
-  double vectorized = TimeMode(database, workload,
-                               db::CubeExecMode::kVectorized,
-                               &vectorized_cube);
+  double scalar = TimeBackend(database, workload, /*oracle=*/true,
+                              &scalar_cube);
+  double vectorized = TimeBackend(database, workload, /*oracle=*/false,
+                                  &vectorized_cube);
   double speedup = scalar / vectorized;
   std::printf("perf_smoke: scalar=%.3fms vectorized=%.3fms speedup=%.2fx "
               "(d=2, 5 aggregates, %zu rows, 1 thread)\n",

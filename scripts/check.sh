@@ -20,8 +20,11 @@
 #                                 # ReCheck >= 10x cold, bit-identity
 #   scripts/check.sh probe-smoke  # verification-aware candidate pruning:
 #                                 # >= 30% pruned, naive rung >= x1.3,
-#                                 # bit-identity on both ladder rungs
+#                                 # bit-identity on the naive rung
 #   scripts/check.sh chaos-matrix # exhaustive fault-point sweep (ASan+UBSan)
+#   scripts/check.sh flake        # the suites that write files or inject
+#                                 # faults, ctest -j4 repeated until a
+#                                 # failure, 10 times (Release)
 #
 # The chaos-matrix step first checks that the compile-time fault-point
 # manifest (src/util/fault_points.h) matches the AGG_FAULT_POINT sites
@@ -53,15 +56,20 @@
 #
 # The probe-smoke step builds the Release preset's `bench_probe_pruning`
 # binary and runs it with --smoke: the embedded articles plus a small
-# generated corpus are checked with probe pruning on and off across two
-# rungs of the Table 6 strategy ladder, and the run fails unless probes
-# prune at least 30% of candidates, the naive (per-candidate evaluation)
-# rung is at least x1.3 faster with pruning on, and pruned reports are
-# bit-identical to unpruned ones on every case of both rungs.
+# generated corpus are checked with probe pruning on and off on the naive
+# rung of the Table 6 strategy ladder (the only rung that probes), and the
+# run fails unless probes prune at least 30% of candidates, the rung is at
+# least x1.3 faster with pruning on, and pruned reports are bit-identical
+# to unpruned ones on every case.
+#
+# The flake step builds the Release preset and reruns the snapshot, chaos,
+# recovery, and probe-pruning suites under `ctest -j4 --repeat
+# until-fail:10`: every test owns its temporary directory, so concurrent
+# test processes must never share on-disk state.
 #
 # The perf-smoke step builds the Release preset's `perf_smoke` binary and
 # fails if (a) vectorized cube execution is not faster than the scalar
-# oracle, (b) merged+cached engine evaluation over a PK-FK join workload is
+# oracle kept in tests/support (linked into perf_smoke), (b) merged+cached engine evaluation over a PK-FK join workload is
 # not at least 5x the naive cache-off path (the shared relation cache must
 # pay for itself), (c) on machines with >= 2 hardware threads, 2-thread
 # merged evaluation is slower than 1-thread, or (d) a multi-iteration EM
@@ -98,6 +106,15 @@ for preset in "${presets[@]}"; do
     echo "==> [chaos-matrix] full sweep"
     AGG_CHAOS_MATRIX=full ctest --preset asan-ubsan -j "$jobs" \
       -R '(Chaos|Recovery)'
+    continue
+  fi
+  if [[ "$preset" == "flake" ]]; then
+    echo "==> [flake] build"
+    cmake --preset default >/dev/null
+    cmake --build --preset default -j "$jobs"
+    echo "==> [flake] repeated run"
+    ctest --preset default -j4 --repeat until-fail:10 \
+      -R '(Snapshot|ChaosMatrix|Recovery|ProbePruning)'
     continue
   fi
   if [[ "$preset" == "perf-smoke" ]]; then

@@ -58,11 +58,7 @@ Result<AggChecker> AggChecker::Create(const db::Database* db,
   }
   checker.engine_ =
       std::make_shared<db::EvalEngine>(db, checker.options_.strategy);
-  checker.engine_->SetCubeExecMode(checker.options_.cube_exec);
   checker.engine_->SetQueryFingerprints(checker.options_.query_fingerprints);
-  if (!checker.options_.relation_cache) {
-    checker.engine_->SetRelationCache(nullptr);
-  }
   checker.engine_->SetRecovery(checker.options_.recovery);
   // num_threads == 1 keeps the engine pool-free (the exact serial path);
   // 0 sizes the pool to the hardware. Results are identical either way.
@@ -125,19 +121,9 @@ Result<CheckReport> AggChecker::CheckDetected(
   // by the engine's recovery pass; what surfaces here are run-level faults
   // with no owning query, retried while transient. Engine caches persist
   // across attempts (failed scans are never cached, so re-runs are safe).
-  // Probe pruning runs everywhere on the fingerprint path (decided flags
-  // ship to the engine, so governor charges stay bit-identical). The
-  // string path — naive strategy, or query_fingerprints off — has no flag
-  // transport: a settled probe skips evaluation outright, which is
-  // work-proportional charging, so it engages only when no budget is in
-  // play (exhaustion points must never move under pruning).
+  // The translator decides where probing may run (DESIGN.md §17).
   model::ModelOptions effective_model = model;
-  const bool fingerprint_path =
-      options_.query_fingerprints &&
-      options_.strategy != db::EvalStrategy::kNaive;
-  effective_model.probe_pruning =
-      options_.probe_pruning &&
-      (fingerprint_path || options_.governor.unlimited());
+  effective_model.probe_pruning = options_.probe_pruning;
   effective_model.probe_verify = options_.probe_verify;
   // Every reported candidate must show a real result: raise the backfill
   // cover to the report depth.

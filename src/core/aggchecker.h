@@ -26,16 +26,6 @@ struct CheckOptions {
   claims::KeywordContextOptions context;
   model::ModelOptions model;
   db::EvalStrategy strategy = db::EvalStrategy::kMergedCached;
-  /// Cube materialization backend. The vectorized default and the scalar
-  /// oracle produce bit-identical reports; the oracle exists for
-  /// differential testing and as the perf-smoke baseline.
-  db::CubeExecMode cube_exec = db::CubeExecMode::kVectorized;
-  /// Acquire joined relations through the database's shared RelationCache
-  /// (built once per distinct table set, reused across batches, claims, and
-  /// EM iterations). false = every query/cube rebuilds its join privately —
-  /// the pre-cache reference behavior kept for differential tests and the
-  /// cache-off bench columns. Reports are bit-identical either way.
-  bool relation_cache = true;
   /// Ship candidates to the engine as interned query fingerprints and plan
   /// merged cubes against integer-keyed caches that survive EM iterations
   /// (DESIGN.md §12). false = the string-keyed reference path, which
@@ -43,14 +33,15 @@ struct CheckOptions {
   /// tests and benches. Reports are bit-identical either way.
   bool query_fingerprints = true;
   /// Verification-aware candidate pruning (DESIGN.md §17): probe candidates
-  /// against column statistics and dictionaries before evaluation and skip
-  /// the kernels of cube slices whose every reader is already decided.
-  /// Needs the fingerprint path and an optimized strategy; silently off
-  /// otherwise. Reports are bit-identical with pruning on or off.
+  /// against column statistics before evaluation and skip the ones that
+  /// provably cannot match the claim. Runs on the string path only (the
+  /// naive strategy, or query_fingerprints off) and only under an unlimited
+  /// governor; silently off otherwise. Reports are bit-identical with
+  /// pruning on or off.
   bool probe_pruning = true;
-  /// Differential mode: probe everything but evaluate everything too,
-  /// counting probe/synthesis disagreements in CheckReport::probe_stats
-  /// (probe_conflicts must stay zero).
+  /// Differential mode: probe wherever pruning would, but evaluate
+  /// everything too, counting probe/evaluation disagreements in
+  /// CheckReport::probe_stats (probe_conflicts must stay zero).
   bool probe_verify = false;
   fragments::CatalogOptions catalog;
   /// Pre-built fragment catalog — the snapshot load path (DESIGN.md §15):
@@ -70,11 +61,10 @@ struct CheckOptions {
   /// contract").
   GovernorLimits governor;
   /// Self-healing layer (DESIGN.md §13), ON by default: transient faults
-  /// retry with capped backoff, persistent faults in optimized paths
-  /// descend the fallback ladder to bit-identical reference twins, and
-  /// claims failing on every rung are quarantined as partial verdicts
-  /// instead of aborting the run. Set `recovery.enabled = false` to get the
-  /// fail-fast behavior differential tests rely on.
+  /// retry with capped backoff, persistent ones re-run once on fresh,
+  /// uncached joins, and claims still failing are quarantined as partial
+  /// verdicts instead of aborting the run. Set `recovery.enabled = false` to
+  /// get the fail-fast behavior differential tests rely on.
   RecoveryOptions recovery;
 };
 
@@ -99,7 +89,7 @@ struct ClaimVerdict {
   /// and the claim is never flagged erroneous ("gave up" ≠ "wrong").
   bool partial = false;
   /// The claim's trip through the self-healing layer: attempts, deepest
-  /// fallback-ladder rung, and whether it was healed or quarantined
+  /// recovery rung, and whether it was healed or quarantined
   /// (quarantined claims are also partial). All-defaults when evaluation
   /// never faulted.
   model::ClaimRecovery recovery;
@@ -154,7 +144,7 @@ struct CheckReport {
     return n;
   }
 
-  /// Claims that failed on every fallback-ladder rung (partial, isolated).
+  /// Claims that failed on every recovery rung (partial, isolated).
   size_t NumQuarantined() const {
     size_t n = 0;
     for (const auto& v : verdicts) n += v.recovery.quarantined ? 1 : 0;

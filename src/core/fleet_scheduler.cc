@@ -211,6 +211,7 @@ FleetRunResult RunFleet(const std::vector<FleetDocument>& documents,
     }
 
     FleetDocumentResult& out = result.documents[pick];
+    out.popped_seconds = fleet_timer.ElapsedSeconds();
     out.index = pick;
     out.cost_estimate = pick_cost;
     out.schedule_position = position;
@@ -254,6 +255,7 @@ FleetRunResult RunFleetSequential(
     out.cost_estimate = EstimateDocumentCost(
         documents[i], warm.count(documents[i].database) > 0);
     warm.insert(documents[i].database);
+    out.popped_seconds = fleet_timer.ElapsedSeconds();
     RunDocument(documents[i], sliced, &out);
     out.latency_seconds = fleet_timer.ElapsedSeconds();
   }

@@ -59,7 +59,10 @@ struct FleetDocumentResult {
   CheckReport report;
   double cost_estimate = 0;      ///< scheduler's estimate at pop time
   size_t schedule_position = 0;  ///< 0-based pop order
+  double popped_seconds = 0;     ///< fleet start -> pop (queueing time)
   double latency_seconds = 0;    ///< fleet start -> document completion
+  /// Pop -> completion: the time the document itself took to check.
+  double service_seconds() const { return latency_seconds - popped_seconds; }
 };
 
 /// \brief Aggregated fleet outcome. `documents` is in input order;

@@ -40,18 +40,16 @@ struct CorpusRunResult {
   /// Self-healing counters summed over cases (EvalStats / CheckReport;
   /// DESIGN.md §13). All zero on a fault-free corpus run.
   size_t recovery_retries = 0;     ///< same-rung retries after transients
-  size_t ladder_descents = 0;      ///< fallback-ladder rungs engaged
+  size_t ladder_descents = 0;      ///< fresh-join rung engagements
   size_t queries_recovered = 0;    ///< hard-failed queries healed
   size_t queries_quarantined = 0;  ///< queries surrendered on every rung
   size_t claims_recovered = 0;     ///< claims fully healed by recovery
   size_t claims_quarantined = 0;   ///< claims degraded to quarantined partials
   size_t watchdog_flags = 0;       ///< stalled-job flags (wall-clock based)
   /// Verification-aware probe counters summed over cases (DESIGN.md §17;
-  /// all zero with probe_pruning off or on the string/naive paths).
+  /// all zero with probe_pruning off, on the fingerprint path, or under a
+  /// limited governor).
   model::ProbeStats probe_stats;
-  /// Cube slices whose aggregation kernels were skipped because every
-  /// reading query was probe-decided (EvalStats).
-  size_t probe_slices_skipped = 0;
 
   CorpusRunResult() : coverage(20) {}
 };

@@ -40,23 +40,6 @@ void CubeResult::SetPacked(uint64_t key, size_t agg_idx, double value) {
   cell[agg_idx] = value;
 }
 
-void CubeResult::AdoptSlice(const CubeResult& src, size_t agg_idx) {
-  for (const auto& [key, cell] : src.cells_) {
-    if (cell[agg_idx].has_value()) SetPacked(key, agg_idx, *cell[agg_idx]);
-  }
-  if (!live_.empty()) live_[agg_idx] = 1;
-}
-
-const char* CubeExecModeName(CubeExecMode mode) {
-  switch (mode) {
-    case CubeExecMode::kVectorized:
-      return "Vectorized";
-    case CubeExecMode::kScalarOracle:
-      return "ScalarOracle";
-  }
-  return "?";
-}
-
 Result<std::shared_ptr<CubeResult>> ExecuteCube(
     const Database& db, const std::vector<ColumnRef>& dims,
     const std::vector<std::vector<Value>>& relevant_literals,
@@ -68,21 +51,6 @@ Result<std::shared_ptr<CubeResult>> ExecuteCube(
   if (!status.ok()) return status;
   return result;
 }
-
-namespace {
-
-// Modeled memory footprints charged against GovernorLimits::max_memory_bytes.
-// Canonical constants shared by both execution modes (not allocator truth),
-// so memory totals stay mode- and thread-invariant: one combo charges its
-// key + fanout bookkeeping, one group charges key/cell bookkeeping plus one
-// accumulator per aggregate. Transient per-mode scratch (the vectorized
-// row->combo array, per-block hash maps) is not charged — it is bounded by
-// the row-scan budget, not the group/combo structure.
-constexpr uint64_t kModeledComboBytes = 64;
-constexpr uint64_t kModeledGroupBaseBytes = 32;
-constexpr uint64_t kModeledAggStateBytes = 64;
-
-}  // namespace
 
 Status ReplayCubeCharges(const CubeResult& cube,
                          ResourceGovernor::Shard& shard) {
@@ -112,7 +80,6 @@ Status CubeExecution::Prepare(const Database& db, CubeResult* result,
   result_ = result;
   stats_ = stats;
   governor_ = governor;
-  mode_ = options.mode;
 
   const std::vector<ColumnRef>& dims = result->dims();
   const std::vector<CubeAggregate>& aggregates = result->aggregates();
@@ -188,148 +155,9 @@ Status CubeExecution::Prepare(const Database& db, CubeResult* result,
 
   const size_t num_rows = relation_->num_rows();
   constexpr size_t kBlock = ResourceGovernor::kCheckIntervalRows;
-  if (mode_ == CubeExecMode::kScalarOracle) {
-    // The oracle is inherently sequential: one morsel covers the scan.
-    num_blocks_ = 1;
-  } else {
-    num_blocks_ = (num_rows + kBlock - 1) / kBlock;
-    row_combo_.assign(num_rows, 0);
-    block_first_keys_.assign(num_blocks_, {});
-  }
-  return Status::OK();
-}
-
-Status CubeExecution::ScanBlock(size_t block) {
-  return mode_ == CubeExecMode::kScalarOracle ? RunScalarOracle()
-                                              : ScanVectorizedBlock(block);
-}
-
-Status CubeExecution::Finish() {
-  if (mode_ == CubeExecMode::kVectorized) {
-    Status status = FinishVectorized();
-    if (!status.ok()) return status;
-  }
-  // The oracle writes its result cells inside RunScalarOracle.
-  if (stats_ != nullptr) stats_->rows_scanned += relation_->num_rows();
-  result_->charges.rows = relation_->num_rows();
-  return Status::OK();
-}
-
-/// \brief Row-at-a-time reference path (CubeExecMode::kScalarOracle).
-///
-/// Every row fans out to its 2^d groups through boxed `Value`s and
-/// `Aggregator`s. This is the semantics oracle the vectorized kernels are
-/// differentially tested against, and the baseline the perf-smoke CI step
-/// compares with.
-Status CubeExecution::RunScalarOracle() {
-  const JoinedRelation& rel = *relation_;
-  CubeResult& result = *result_;
-  const std::vector<CubeAggregate>& aggregates = result.aggregates();
-  const size_t d = dim_bindings_.size();
-  const size_t num_subsets = static_cast<size_t>(1) << d;
-  const Value star_placeholder(static_cast<int64_t>(1));
-  const uint64_t combo_bytes =
-      kModeledComboBytes + num_subsets * sizeof(uint32_t);
-  const uint64_t group_bytes =
-      kModeledGroupBaseBytes + aggregates.size() * kModeledAggStateBytes;
-  ResourceGovernor::Shard shard(governor_);
-
-  // Group accumulators, addressed by dense index; `group_keys` remembers
-  // each group's packed bucket key for the final result assembly.
-  std::vector<std::vector<Aggregator>> groups;
-  std::vector<uint64_t> group_keys;
-  std::unordered_map<uint64_t, uint32_t> group_index;
-
-  // Rows sharing a bucket combination update the same 2^d groups; cache
-  // the group-id fan-out per combination so the hot loop performs a single
-  // hash lookup per row.
-  std::unordered_map<uint64_t, uint32_t> combo_index;
-  std::vector<std::vector<uint32_t>> combo_groups;
-
-  int16_t row_buckets[CubeResult::kMaxDims] = {0, 0, 0, 0};
-  int16_t key_buckets[CubeResult::kMaxDims] = {0, 0, 0, 0};
-
-  // Probe pruning (DESIGN.md §17): fully decided slices skip accumulation
-  // and cell writes only. Group/combo structure and all modeled charges
-  // are computed from the full aggregate list above, so a masked run is
-  // charge-identical to an unmasked one.
-  std::vector<uint8_t> slice_live(aggregates.size(), 1);
-  for (size_t a = 0; a < aggregates.size(); ++a) {
-    slice_live[a] = result.slice_live(a) ? 1 : 0;
-  }
-
-  const size_t num_rows = rel.num_rows();
-  constexpr size_t kBlock = ResourceGovernor::kCheckIntervalRows;
-  for (size_t r = 0; r < num_rows; ++r) {
-    if ((r % kBlock) == 0) {
-      Status charge =
-          shard.ChargeRows(std::min<uint64_t>(kBlock, num_rows - r));
-      if (!charge.ok()) return charge;
-    }
-    for (size_t i = 0; i < d; ++i) {
-      size_t base = dim_bindings_[i].base_row(r);
-      int32_t code = (*access_[i].codes)[base];
-      row_buckets[i] =
-          code < 0 ? kDefaultBucket : access_[i].code_to_bucket[code];
-    }
-    auto [combo_it, combo_new] =
-        combo_index.try_emplace(CubeResult::PackKey(row_buckets, d),
-                                static_cast<uint32_t>(combo_groups.size()));
-    if (combo_new) {
-      // First row with this bucket combination: resolve (creating on
-      // demand) the 2^d groups it contributes to.
-      Status mem = shard.ChargeMemoryBytes(combo_bytes);
-      if (!mem.ok()) return mem;
-      std::vector<uint32_t> fanout;
-      fanout.reserve(num_subsets);
-      uint64_t new_groups = 0;
-      for (size_t mask = 0; mask < num_subsets; ++mask) {
-        for (size_t i = 0; i < d; ++i) {
-          key_buckets[i] = (mask & (1u << i)) ? row_buckets[i] : kAllBucket;
-        }
-        auto [it, inserted] = group_index.try_emplace(
-            CubeResult::PackKey(key_buckets, d),
-            static_cast<uint32_t>(groups.size()));
-        if (inserted) {
-          std::vector<Aggregator> accs;
-          accs.reserve(aggregates.size());
-          for (const CubeAggregate& a : aggregates) accs.emplace_back(a.fn);
-          groups.push_back(std::move(accs));
-          group_keys.push_back(it->first);
-          ++new_groups;
-        }
-        fanout.push_back(it->second);
-      }
-      combo_groups.push_back(std::move(fanout));
-      if (new_groups > 0) {
-        // Group materialization is the cube-explosion lever; charge it
-        // separately from row scans so a budget can bound it directly,
-        // then charge its modeled accumulator bytes.
-        Status charge = shard.ChargeCubeGroups(new_groups);
-        if (!charge.ok()) return charge;
-        Status gmem = shard.ChargeMemoryBytes(new_groups * group_bytes);
-        if (!gmem.ok()) return gmem;
-      }
-    }
-    for (uint32_t group : combo_groups[combo_it->second]) {
-      for (size_t a = 0; a < aggregates.size(); ++a) {
-        if (!slice_live[a]) continue;
-        const Value& v = aggregates[a].is_star() ? star_placeholder
-                                                 : agg_bindings_[a].at(r);
-        groups[group][a].Add(v);
-      }
-    }
-  }
-
-  for (size_t g = 0; g < groups.size(); ++g) {
-    for (size_t a = 0; a < groups[g].size(); ++a) {
-      if (!slice_live[a]) continue;
-      std::optional<double> v = groups[g][a].Finish();
-      if (v.has_value()) result.SetPacked(group_keys[g], a, *v);
-    }
-  }
-  result.charges.combos = combo_groups.size();
-  result.charges.groups = groups.size();
+  num_blocks_ = (num_rows + kBlock - 1) / kBlock;
+  row_combo_.assign(num_rows, 0);
+  block_first_keys_.assign(num_blocks_, {});
   return Status::OK();
 }
 
@@ -338,13 +166,13 @@ Status CubeExecution::RunScalarOracle() {
 /// Maps every row of the block to a block-local bucket-combination id using
 /// dictionary codes and records the packed keys in local first-appearance
 /// order. Runs concurrently with other blocks (of this or any other cube
-/// execution); FinishVectorized renumbers the local ids globally in block
-/// order, so global ids equal the oracle's first-appearance order for any
-/// thread count or morsel interleaving.
-Status CubeExecution::ScanVectorizedBlock(size_t block) {
-  // Vectorized-path-only fault point (the scalar oracle never passes
-  // through here): chaos tests arm it to prove the fallback ladder's first
-  // rung heals a poisoned vectorized kernel bit-identically.
+/// execution); Finish renumbers the local ids globally in block
+/// order, so global ids equal the first-appearance order of a row-at-a-time
+/// scan for any thread count or morsel interleaving.
+Status CubeExecution::ScanBlock(size_t block) {
+  // Scan-kernel fault point: no production twin shares this kernel, so a
+  // fault here is one the recovery ladder cannot shed — chaos tests prove
+  // it quarantines the owning claims as partials instead of aborting.
   AGG_FAULT_POINT("cube.scan.vectorized");
   const size_t num_rows = relation_->num_rows();
   const size_t d = dim_bindings_.size();
@@ -362,7 +190,7 @@ Status CubeExecution::ScanVectorizedBlock(size_t block) {
   }
 
   // Per-block shard: row charges fold into the shared governor atomics
-  // once per block, the same totals as the oracle's per-block charging.
+  // once per block.
   ResourceGovernor::Shard block_shard(governor_);
   Status charge = block_shard.ChargeRows(end - begin);
   if (!charge.ok()) return charge;
@@ -391,7 +219,8 @@ Status CubeExecution::ScanVectorizedBlock(size_t block) {
 /// aggregate over the flat primitive column views (pass 2) and distributes
 /// combo accumulators into the 2^d groups (pass 3).
 ///
-/// Bit-exactness with the oracle is by construction, not by tolerance:
+/// Bit-exactness with a row-at-a-time evaluation (the scalar reference
+/// oracle of the differential tests) is by construction, not tolerance:
 ///  - Count / CountDistinct fold integers (order-independent); distinct
 ///    values are dictionary codes, whose identity matches `Value` equality
 ///    (numeric coercion, per-occurrence NaN codes) exactly.
@@ -402,7 +231,7 @@ Status CubeExecution::ScanVectorizedBlock(size_t block) {
 ///    strict comparisons + earliest-row tie-break, reproducing the oracle's
 ///    first-occurrence semantics (observable only through -0.0/+0.0
 ///    representation; NaN inputs poison the group to nullopt either way).
-Status CubeExecution::FinishVectorized() {
+Status CubeExecution::Finish() {
   const JoinedRelation& rel = *relation_;
   CubeResult& result = *result_;
   const std::vector<CubeAggregate>& aggregates = result.aggregates();
@@ -517,10 +346,6 @@ Status CubeExecution::FinishVectorized() {
   };
 
   for (size_t a = 0; a < aggregates.size(); ++a) {
-    // Probe pruning: a fully decided slice skips its kernel and cell
-    // writes. Charges above came from the full aggregate list, so a
-    // masked run stays charge-identical (DESIGN.md §17).
-    if (!result.slice_live(a)) continue;
     const AggFn fn = aggregates[a].fn;
     const bool star = aggregates[a].is_star();
     const Column* col = star ? nullptr : agg_bindings_[a].column;
@@ -694,6 +519,8 @@ Status CubeExecution::FinishVectorized() {
         return Status::Internal("unexpected cube aggregate function");
     }
   }
+  if (stats_ != nullptr) stats_->rows_scanned += num_rows;
+  result.charges.rows = num_rows;
   return Status::OK();
 }
 

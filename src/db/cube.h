@@ -140,38 +140,6 @@ class CubeResult {
 
   size_t num_cells() const { return cells_.size(); }
 
-  /// \brief Slice liveness mask for probe pruning (DESIGN.md §17).
-  ///
-  /// A "slice" is one aggregate's column of cells. When the probe stage
-  /// decides every query reading a slice before evaluation, the execution
-  /// may skip that slice's aggregation kernel and cell writes — but the
-  /// cube keeps its FULL aggregate list, so bucket combos, group keys,
-  /// and every modeled governor charge (group bytes scale with
-  /// `aggregates_.size()`, not the live count) are byte-identical to an
-  /// unpruned run. An empty mask (the default) means all slices are live.
-  /// Non-live slices simply have no cells; LookupPacked yields nullopt.
-  bool slice_live(size_t agg_idx) const {
-    return live_.empty() || live_[agg_idx] != 0;
-  }
-  bool all_slices_live() const { return live_.empty(); }
-
-  /// Installs the mask (size must equal aggregates().size(), or empty for
-  /// all-live). Only valid before execution fills the cube.
-  void SetSliceLiveness(std::vector<uint8_t> live) { live_ = std::move(live); }
-
-  /// Upgrades one slice to live. Only meaningful before execution (a
-  /// non-live slice of an executed cube has no cells to resurrect; use
-  /// AdoptSlice for that).
-  void MarkSliceLive(size_t agg_idx) {
-    if (!live_.empty()) live_[agg_idx] = 1;
-  }
-
-  /// Copies aggregate slice `agg_idx` from `src` — a cube executed over the
-  /// same dims/literals/aggregates with that slice live — into this result
-  /// and marks it live here. Backfills a cached cube whose slice was
-  /// skipped, without re-executing (or re-charging) the cached cube itself.
-  void AdoptSlice(const CubeResult& src, size_t agg_idx);
-
   /// Charge record of the execution that filled this result (written by
   /// CubeExecution::Finish, stamped/replayed by the cache layer). Mutable
   /// bookkeeping about *how* the result was computed, not part of the
@@ -185,34 +153,27 @@ class CubeResult {
   // Per-dimension literal -> bucket index (hash lookup for large sets).
   std::vector<std::unordered_map<Value, int16_t, ValueHasher>> literal_index_;
   std::unordered_map<uint64_t, std::vector<std::optional<double>>> cells_;
-  /// Per-aggregate liveness; empty = all live. Execution bookkeeping like
-  /// `charges` — not part of the result value for equality purposes.
-  std::vector<uint8_t> live_;
 };
 
-/// How ExecuteCubeInto materializes a cube.
-enum class CubeExecMode {
-  /// Three-pass combo-partitioned pipeline over flat typed column views
-  /// (the default): (1) map each row to a dense bucket-combination id,
-  /// block-parallel with a deterministic fold; (2) typed per-aggregate
-  /// kernels over primitive arrays; (3) distribute combo accumulators into
-  /// the 2^d groups. Produces results bit-identical to the oracle.
-  kVectorized = 0,
-  /// Row-at-a-time reference path: every row fans out to its 2^d groups
-  /// through boxed `Value`s and `Aggregator`s. Kept as the semantics oracle
-  /// for differential tests and as the perf-smoke baseline.
-  kScalarOracle,
-};
-
-const char* CubeExecModeName(CubeExecMode mode);
+/// Modeled memory footprints charged against
+/// GovernorLimits::max_memory_bytes. Canonical constants, not allocator
+/// truth, so memory totals are thread-invariant and any reference
+/// implementation of the cube semantics can charge identically: one combo
+/// charges its key plus fanout bookkeeping (kModeledComboBytes + 2^d group
+/// ids), one group charges key/cell bookkeeping plus one accumulator per
+/// aggregate. Transient scratch (the row->combo array, per-block hash maps)
+/// is not charged — it is bounded by the row-scan budget, not the
+/// group/combo structure.
+constexpr uint64_t kModeledComboBytes = 64;
+constexpr uint64_t kModeledGroupBaseBytes = 32;
+constexpr uint64_t kModeledAggStateBytes = 64;
 
 /// Execution options for one cube materialization.
 struct CubeExecOptions {
-  CubeExecMode mode = CubeExecMode::kVectorized;
-  /// Optional pool for the vectorized combo-assignment pass (pass 1), which
+  /// Optional pool for the combo-assignment pass (pass 1), which
   /// parallelizes over fixed row blocks with a deterministic block-order
   /// fold. The caller must not already be inside a region of this pool.
-  /// Ignored by the scalar oracle. nullptr = serial. (The EvalEngine does
+  /// nullptr = serial. (The EvalEngine does
   /// not use this — it schedules (job, block) morsels itself; this knob
   /// serves standalone ExecuteCubeInto callers.)
   ThreadPool* pool = nullptr;
@@ -236,10 +197,9 @@ struct CubeExecOptions {
 /// with each other and with any phase of other executions; they share only
 /// the immutable relation/database and the governor's atomics.
 ///
-/// The vectorized mode scans blocks of ResourceGovernor::kCheckIntervalRows
-/// rows; the scalar oracle is inherently sequential and exposes a single
-/// block. Results are bit-identical across modes, thread counts, and
-/// block interleavings (the fold replays block order).
+/// Blocks are ResourceGovernor::kCheckIntervalRows rows. Results are
+/// bit-identical across thread counts and block interleavings (the fold
+/// replays block order).
 class CubeExecution {
  public:
   CubeExecution() = default;
@@ -271,14 +231,9 @@ class CubeExecution {
     std::vector<int16_t> code_to_bucket;
   };
 
-  Status RunScalarOracle();
-  Status ScanVectorizedBlock(size_t block);
-  Status FinishVectorized();
-
   CubeResult* result_ = nullptr;
   ScanStats* stats_ = nullptr;
   const ResourceGovernor* governor_ = nullptr;
-  CubeExecMode mode_ = CubeExecMode::kVectorized;
   std::shared_ptr<const JoinedRelation> relation_;
   std::vector<JoinedRelation::Binding> dim_bindings_;
   /// One per aggregate; the binding of a star aggregate stays default
@@ -286,7 +241,7 @@ class CubeExecution {
   std::vector<JoinedRelation::Binding> agg_bindings_;
   std::vector<DimAccess> access_;
   size_t num_blocks_ = 0;
-  // Vectorized pass-1 state: per-row block-local combo ids plus each
+  // Pass-1 state: per-row block-local combo ids plus each
   // block's packed keys in local first-appearance order; Finish renumbers
   // them globally in block order.
   std::vector<uint32_t> row_combo_;
@@ -321,10 +276,10 @@ Result<std::shared_ptr<CubeResult>> ExecuteCube(
 /// concurrent cubes under one governor are safe. On error the shell's cells
 /// are left untouched (possibly empty) and the caller must discard it.
 ///
-/// Both execution modes produce bit-identical cells (the vectorized kernels
-/// replay the oracle's exact floating-point operation order per group) and
-/// charge the same governor totals; the differential property tests pin
-/// this down.
+/// The kernels replay a row-at-a-time evaluation's exact floating-point
+/// operation order per group, so cells are bit-identical to the scalar
+/// reference oracle the differential tests keep (tests/support), and the
+/// governor totals match it too.
 Status ExecuteCubeInto(const Database& db, CubeResult& result,
                        ScanStats* stats = nullptr,
                        const ResourceGovernor* governor = nullptr,

@@ -203,30 +203,10 @@ bool EvalEngine::ReplayChargesForHit(const CacheEntry& entry) {
   return true;
 }
 
-Status EvalEngine::FillInSlice(const CacheEntry& entry) {
-  const CubeResult& cube = *entry.cube;
-  CubeResult fresh(cube.dims(), cube.literals(), cube.aggregates());
-  std::vector<uint8_t> live(cube.aggregates().size(), 0);
-  live[entry.agg_idx] = 1;
-  fresh.SetSliceLiveness(std::move(live));
-  ScanStats scan;
-  CubeExecOptions options;
-  options.mode = cube_exec_;
-  options.relation_cache = relation_cache_;
-  Status status =
-      ExecuteCubeInto(*db_, fresh, &scan, /*governor=*/nullptr, options);
-  if (!status.ok()) return status;
-  entry.cube->AdoptSlice(fresh, entry.agg_idx);
-  ++stats_.probe_fillins;
-  stats_.probe_fillin_rows += scan.rows_scanned;
-  return Status::OK();
-}
-
 std::vector<std::optional<double>> EvalEngine::EvaluateBatch(
     const std::vector<SimpleAggregateQuery>& queries) {
   Timer timer;
   batch_failed_.clear();
-  batch_decided_.clear();
   RefreshDataVersions();
   auto results = DispatchQueries(queries);
   RecoverBatch(
@@ -242,7 +222,7 @@ std::vector<std::optional<double>> EvalEngine::EvaluateBatch(
   return results;
 }
 
-std::vector<std::optional<double>> EvalEngine::EvaluateInternedImpl(
+std::vector<std::optional<double>> EvalEngine::EvaluateInterned(
     const std::vector<QueryInterner::Id>& ids) {
   Timer timer;
   batch_failed_.clear();
@@ -250,12 +230,10 @@ std::vector<std::optional<double>> EvalEngine::EvaluateInternedImpl(
   auto results = DispatchIds(ids);
   RecoverBatch(
       [&](const std::vector<size_t>& subset) {
-        // Re-runs materialize and go through the query-keyed dispatch so
-        // every ladder rung (including string-keyed plans) is reachable.
-        std::vector<SimpleAggregateQuery> sub;
+        std::vector<QueryInterner::Id> sub;
         sub.reserve(subset.size());
-        for (size_t i : subset) sub.push_back(interner_.Materialize(ids[i]));
-        return DispatchQueries(sub);
+        for (size_t i : subset) sub.push_back(ids[i]);
+        return DispatchIds(sub);
       },
       results);
   stats_.queries_answered += ids.size();
@@ -263,43 +241,8 @@ std::vector<std::optional<double>> EvalEngine::EvaluateInternedImpl(
   return results;
 }
 
-std::vector<std::optional<double>> EvalEngine::EvaluateInterned(
-    const std::vector<QueryInterner::Id>& ids) {
-  batch_decided_.clear();
-  return EvaluateInternedImpl(ids);
-}
-
-std::vector<std::optional<double>> EvalEngine::EvaluateInterned(
-    const std::vector<QueryInterner::Id>& ids,
-    const std::vector<uint8_t>& decided) {
-  // Only the fingerprint merged path honors probe flags; anything else
-  // evaluates everything for real (the probe degrades to "don't prune").
-  if (strategy_ != EvalStrategy::kNaive && decided.size() == ids.size()) {
-    batch_decided_ = decided;
-  } else {
-    batch_decided_.clear();
-    // Everything evaluates for real; present the caller a coherent
-    // all-unsettled view instead of flags from an earlier batch.
-    decided_settled_.assign(ids.size(), 0);
-  }
-  return EvaluateInternedImpl(ids);
-}
-
-std::vector<std::optional<double>> EvalEngine::EvaluateProbeBackfill(
-    const std::vector<QueryInterner::Id>& ids) {
-  batch_decided_.clear();
-  const ResourceGovernor* saved_governor = governor_;
-  governor_ = nullptr;
-  publish_read_only_ = true;
-  auto results = EvaluateInternedImpl(ids);
-  publish_read_only_ = false;
-  governor_ = saved_governor;
-  return results;
-}
-
 std::vector<std::optional<double>> EvalEngine::EvaluateProbeBackfill(
     const std::vector<SimpleAggregateQuery>& queries) {
-  batch_decided_.clear();
   const ResourceGovernor* saved_governor = governor_;
   governor_ = nullptr;
   publish_read_only_ = true;
@@ -404,13 +347,9 @@ void EvalEngine::NoteQueryFailure(size_t index, const Status& status) {
 
 const char* EvalEngine::RecoveryRungName(uint32_t rung) {
   switch (rung) {
-    case 0:
+    case kPrimaryRung:
       return "primary";
-    case 1:
-      return "scalar-cube";
-    case 2:
-      return "string-plans";
-    case 3:
+    case kFreshJoinRung:
       return "fresh-join";
   }
   return "?";
@@ -439,31 +378,13 @@ void EvalEngine::RecoverBatch(
   // it, a quarantined one re-raises it after the ladder is exhausted.
   const Status primary_error = ConsumeHardError();
 
-  // The fallback ladder, restricted to the downgrades that apply to this
-  // engine's current configuration, in canonical order (DESIGN.md §13):
-  // vectorized cube → scalar oracle, interned fingerprints → string-keyed
-  // plans, cached relations → fresh rebuild. Each entry is cumulative with
-  // the previous ones and tagged with its canonical position for records.
-  const CubeExecMode saved_mode = cube_exec_;
-  const bool saved_fingerprints = query_fingerprints_;
+  // The fallback ladder has one rung below the primary configuration
+  // (DESIGN.md §13): fresh, uncached joins, which shed a poisoned relation
+  // cache entry. The vectorized scan and the fingerprint planner have no
+  // production twin — a deterministic fault there belongs to the
+  // differential tests, not a silent detour — so their faults quarantine.
   RelationCache* const saved_cache = relation_cache_;
-  struct LadderRung {
-    uint32_t canonical;
-    std::function<void()> apply;
-  };
-  std::vector<LadderRung> ladder;
-  if (recovery_->fallback_ladder) {
-    if (strategy_ != EvalStrategy::kNaive &&
-        cube_exec_ == CubeExecMode::kVectorized) {
-      ladder.push_back({1, [this] { cube_exec_ = CubeExecMode::kScalarOracle; }});
-    }
-    if (strategy_ != EvalStrategy::kNaive && query_fingerprints_) {
-      ladder.push_back({2, [this] { query_fingerprints_ = false; }});
-    }
-    if (relation_cache_ != nullptr) {
-      ladder.push_back({3, [this] { relation_cache_ = nullptr; }});
-    }
-  }
+  bool fresh_join_left = relation_cache_ != nullptr;
 
   struct Pending {
     size_t index;       ///< batch index of the failing query
@@ -477,8 +398,7 @@ void EvalEngine::RecoverBatch(
   }
 
   const RetryPolicy& retry = recovery_->retry;
-  uint32_t rungs_applied = 0;   // entries of `ladder` engaged so far
-  uint32_t canonical_rung = 0;  // canonical position for records
+  uint32_t rung = kPrimaryRung;  // canonical position for records
   uint32_t attempt_on_rung = 1;
   while (!pending.empty()) {
     if (governor_ != nullptr && governor_->exhausted()) break;
@@ -489,10 +409,10 @@ void EvalEngine::RecoverBatch(
       SleepForBackoff(retry, attempt_on_rung);
       ++attempt_on_rung;
       ++stats_.recovery_retries;
-    } else if (rungs_applied < ladder.size()) {
-      ladder[rungs_applied].apply();
-      canonical_rung = ladder[rungs_applied].canonical;
-      ++rungs_applied;
+    } else if (fresh_join_left) {
+      relation_cache_ = nullptr;
+      fresh_join_left = false;
+      rung = kFreshJoinRung;
       attempt_on_rung = 1;
       ++stats_.ladder_descents;
     } else {
@@ -518,12 +438,12 @@ void EvalEngine::RecoverBatch(
       ++p.attempts;
       auto it = still_failed.find(k);
       if (it == still_failed.end()) {
-        // Healed: recovered values are the true values (every rung is a
-        // bit-identical twin of the primary path), so verdicts match the
+        // Healed: recovered values are the true values (uncached joins are
+        // a bit-identical twin of the cached ones), so verdicts match the
         // fault-free run exactly.
         if (k < sub_results.size()) results[p.index] = sub_results[k];
         recovery_records_.push_back(
-            QueryRecovery{p.index, p.attempts, canonical_rung, true});
+            QueryRecovery{p.index, p.attempts, rung, true});
         ++stats_.queries_recovered;
       } else {
         p.last = it->second;
@@ -533,15 +453,13 @@ void EvalEngine::RecoverBatch(
     pending = std::move(next);
   }
 
-  cube_exec_ = saved_mode;
-  query_fingerprints_ = saved_fingerprints;
   relation_cache_ = saved_cache;
 
   if (pending.empty()) return;  // fully healed; primary error stays consumed
   for (Pending& p : pending) {
     failed_queries_.push_back(p.index);
     recovery_records_.push_back(
-        QueryRecovery{p.index, p.attempts, canonical_rung, false});
+        QueryRecovery{p.index, p.attempts, rung, false});
     ++stats_.queries_quarantined;
   }
   {
@@ -961,7 +879,6 @@ void EvalEngine::ExecuteJobs(std::vector<CubeJob>& jobs) {
   // morsel interleaving.
   Timer execute_timer;
   CubeExecOptions exec_options;
-  exec_options.mode = cube_exec_;
   exec_options.relation_cache = relation_cache_;
   std::vector<CubeExecution> execs(jobs.size());
   RunIndexed(jobs.size(), [&](size_t j) {
@@ -1138,16 +1055,9 @@ const EvalEngine::CacheEntry* EvalEngine::FindCachedIds(
 std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
     const std::vector<QueryInterner::Id>& ids, bool use_cache) {
   std::vector<std::optional<double>> results(ids.size());
-  // Probe-decided flags for this batch, consumed (moved out) at entry:
-  // recovery re-runs re-enter this function with a *subset* of the original
-  // ids, and stale member flags would misalign with subset indices.
-  std::vector<uint8_t> decided = std::move(batch_decided_);
-  batch_decided_.clear();
-  const bool probe_batch = decided.size() == ids.size();
-  if (probe_batch) decided_settled_.assign(ids.size(), 0);
-  // Fingerprint-plan-path-only fault point: the string-keyed rung of the
-  // fallback ladder does not pass through here, so chaos tests can prove
-  // the ladder heals a poisoned fingerprint path.
+  // Planner fault point: no production twin shares the fingerprint
+  // planner, so chaos tests use it to prove such faults quarantine the
+  // owning claims instead of aborting the run.
   {
     Status planner_fault = Status::OK();
     AGG_FAULT_POINT_STATUS("plan.fingerprint", planner_fault);
@@ -1252,9 +1162,6 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
     std::shared_ptr<CubeResult> cube;
     size_t agg_idx = 0;
     int job = -1;
-    /// Failed slice fill-in (see FillInSlice); queries reading this source
-    /// fail into the recovery channel, like a failed job.
-    Status fill = Status::OK();
   };
   struct PlannedGroup {
     std::vector<size_t> query_indices;
@@ -1269,23 +1176,13 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
     const GroupPlan& plan = *bg.plan;
     // Base aggregate ids needed by this group, deduplicated in first-need
     // order (matches the string path's CubeAggregate dedup — aggregate ids
-    // are injective on (fn, column) identity). An aggregate is "live" when
-    // some undecided query reads it; slices read only by probe-decided
-    // queries skip their kernels (DESIGN.md §17).
+    // are injective on (fn, column) identity).
     std::vector<QueryInterner::Id> needed;
-    std::vector<uint8_t> needed_live;
     for (size_t qi : bg.query_indices) {
       QueryInterner::Id agg = compiled_[ids[qi]].agg;
-      auto nit = std::find(needed.begin(), needed.end(), agg);
-      size_t pos;
-      if (nit == needed.end()) {
+      if (std::find(needed.begin(), needed.end(), agg) == needed.end()) {
         needed.push_back(agg);
-        needed_live.push_back(0);
-        pos = needed.size() - 1;
-      } else {
-        pos = static_cast<size_t>(nit - needed.begin());
       }
-      if (!probe_batch || !decided[qi]) needed_live[pos] = 1;
     }
 
     // This batch's literals per group dimension (every dimension column
@@ -1300,10 +1197,7 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
     PlannedGroup pg;
     pg.query_indices = std::move(bg.query_indices);
     std::vector<QueryInterner::Id> to_execute;
-    std::vector<uint8_t> to_execute_live;
-    for (size_t na = 0; na < needed.size(); ++na) {
-      const QueryInterner::Id agg = needed[na];
-      const bool live = needed_live[na] != 0;
+    for (QueryInterner::Id agg : needed) {
       if (use_cache) {
         SliceKey hit_key;
         const CacheEntry* hit = FindCachedIds(agg, plan, dim_literals,
@@ -1321,27 +1215,12 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
           src.agg_idx = hit->agg_idx;
           auto jit = job_of_cube.find(hit->cube.get());
           if (jit != job_of_cube.end()) src.job = jit->second;
-          if (live && !hit->cube->slice_live(hit->agg_idx)) {
-            if (src.job >= 0) {
-              // The hit is one of this batch's own shells, not yet
-              // executed (the plan phase is serial): flip its mask so the
-              // execution materializes the slice.
-              hit->cube->MarkSliceLive(hit->agg_idx);
-            } else {
-              // A cached cube from an earlier batch skipped this slice;
-              // repair it off-ledger. A failure (fault injection only —
-              // the repair runs ungoverned) is routed through the normal
-              // per-query failure channel so recovery heals it.
-              src.fill = FillInSlice(*hit);
-            }
-          }
           pg.sources[agg] = std::move(src);
           continue;
         }
         ++stats_.cache_misses;
       }
       to_execute.push_back(agg);
-      to_execute_live.push_back(live ? 1 : 0);
     }
 
     if (!to_execute.empty()) {
@@ -1373,14 +1252,6 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
       CubeJob job;
       job.shell = std::make_shared<CubeResult>(plan.dims, cube_literals,
                                                cube_aggs);
-      if (std::find(to_execute_live.begin(), to_execute_live.end(),
-                    uint8_t{0}) != to_execute_live.end()) {
-        // Some slice has only probe-decided readers: install the liveness
-        // mask. The shell keeps its full aggregate list, so combos, group
-        // keys, and all modeled charges match an unmasked execution; later
-        // cache hits of this batch may still flip slices back to live.
-        job.shell->SetSliceLiveness(to_execute_live);
-      }
       const int job_idx = static_cast<int>(jobs.size());
       job_of_cube[job.shell.get()] = job_idx;
       ++stats_.cube_queries;
@@ -1426,18 +1297,6 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
       if (governor_ != nullptr) {
         job.shell->charges.charged_run = governor_->run_id();
       }
-      stats_.probe_slices_total += job.shell->aggregates().size();
-      stats_.probe_slice_rows_total +=
-          job.scan.rows_scanned * job.shell->aggregates().size();
-      if (!job.shell->all_slices_live()) {
-        size_t dead = 0;
-        for (size_t a = 0; a < job.shell->aggregates().size(); ++a) {
-          if (!job.shell->slice_live(a)) ++dead;
-        }
-        stats_.probe_slices_skipped += dead;
-        stats_.probe_slice_rows_skipped += job.scan.rows_scanned * dead;
-        if (dead == job.shell->aggregates().size()) ++stats_.probe_jobs_dead;
-      }
       continue;
     }
     for (const SliceKey& key : job.slice_keys) fp_cache_.erase(key);
@@ -1463,25 +1322,6 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
         NoteQueryFailure(qi, jobs[static_cast<size_t>(src.job)].status);
         results[qi] = std::nullopt;
         continue;
-      }
-      if (!src.fill.ok()) {
-        // Slice fill-in failed: same degradation path as a failed job, so
-        // recovery re-runs these queries for real.
-        NoteQueryFailure(qi, src.fill);
-        results[qi] = std::nullopt;
-        continue;
-      }
-      if (probe_batch && decided[qi] != 0) {
-        // The probe decided this query and its cube completed cleanly:
-        // settle it. If the slice was materialized anyway (shared with an
-        // undecided query, or an unmasked cached cube) answer for real —
-        // strictly more evidence; otherwise the caller's synthesized
-        // outcome stands.
-        decided_settled_[qi] = 1;
-        if (!src.cube->slice_live(src.agg_idx)) {
-          results[qi] = std::nullopt;
-          continue;
-        }
       }
       results[qi] = AnswerFromCube(interner_.Materialize(ids[qi]),
                                    cq.normalized, *src.cube, src.agg_idx);

@@ -73,33 +73,12 @@ struct EvalStats {
   /// watchdog_flags, which is wall-clock based (measurement-only, excluded
   /// from determinism fingerprints like the phase timers above).
   size_t recovery_retries = 0;    ///< same-rung re-attempts after transients
-  size_t ladder_descents = 0;     ///< fallback-ladder rungs engaged
+  size_t ladder_descents = 0;     ///< fresh-join rung engagements
   size_t queries_recovered = 0;   ///< hard-failed queries healed by recovery
   size_t queries_quarantined = 0; ///< failed on every rung; owning claims
                                   ///< degrade to quarantined partials
   size_t watchdog_flags = 0;      ///< jobs whose slowest morsel exceeded the
                                   ///< stall multiple of the batch median
-  /// Probe-pruning counters (DESIGN.md §17). Slices whose every reader was
-  /// decided by the probe stage skip their aggregation kernels
-  /// (probe_slices_skipped); cached cubes missing a skipped slice that a
-  /// live query later needs are repaired by an off-ledger re-scan
-  /// (probe_fillins, with the repair's rows in probe_fillin_rows — kept out
-  /// of rows_scanned, which stays charge-comparable across pruned and
-  /// unpruned runs).
-  size_t probe_slices_skipped = 0;
-  size_t probe_fillins = 0;
-  size_t probe_fillin_rows = 0;
-  /// Cube jobs whose every slice was probe-decided. Their scans compute
-  /// only group keys and charges (no kernels); the counter sizes the
-  /// remaining headroom for whole-job elision.
-  size_t probe_jobs_dead = 0;
-  /// Kernel-work accounting: slices executed across all cube jobs, and the
-  /// same weighted by the job's scanned rows (a slice's kernel cost is
-  /// proportional to rows). skipped/total is the honest measure of how much
-  /// aggregation work the probe stage eliminated.
-  size_t probe_slices_total = 0;
-  size_t probe_slice_rows_total = 0;
-  size_t probe_slice_rows_skipped = 0;
 
   void Reset() { *this = EvalStats{}; }
 };
@@ -146,48 +125,15 @@ class EvalEngine {
   std::vector<std::optional<double>> EvaluateInterned(
       const std::vector<QueryInterner::Id>& ids);
 
-  /// \brief Probe-aware batch evaluation (DESIGN.md §17).
-  ///
-  /// `decided[i] != 0` marks queries whose outcome the probe stage already
-  /// determined; `decided` must be ids.size() long. Decided queries still
-  /// flow through planning, grouping, cube-shell construction, and cache
-  /// publication exactly like undecided ones — so literal collection, job
-  /// formation, and every modeled governor charge are byte-identical to an
-  /// unflagged batch — but a cube slice needed *only* by decided queries
-  /// skips its aggregation kernel and cell writes. Decided queries whose
-  /// slice is live anyway (shared with an undecided query, or served by an
-  /// unmasked cached cube) are answered for real; the rest return nullopt
-  /// with their decided_settled() flag set, telling the caller its
-  /// synthesized outcome stands. Failure handling (aborted jobs, recovery,
-  /// quarantine) treats decided queries exactly like undecided ones.
-  std::vector<std::optional<double>> EvaluateInterned(
-      const std::vector<QueryInterner::Id>& ids,
-      const std::vector<uint8_t>& decided);
-
-  /// Per-query flags from the last EvaluateInterned(ids, decided) call:
-  /// settled[i] != 0 means decided query i reached a completed cube (its
-  /// slice was either answered for real or cleanly skipped), so the
-  /// caller's synthesized outcome may stand. Unsettled decided queries
-  /// (failed or aborted jobs) carry no evidence either way and must degrade
-  /// exactly like an unpruned failure.
-  const std::vector<uint8_t>& decided_settled() const {
-    return decided_settled_;
-  }
-
   /// \brief Off-ledger evaluation for report backfill (DESIGN.md §17).
   ///
-  /// Evaluates `ids` with the governor detached and cache publication
-  /// disabled: reads (and slice fill-ins of existing entries) are allowed,
-  /// but no new cache entries appear — a cube executed here was never
-  /// charged, so publishing it would let a later budgeted run hit an entry
-  /// whose charge replay diverges from a cold rebuild. Recovery still runs,
-  /// so chaos faults heal the same way they do on the main path.
-  std::vector<std::optional<double>> EvaluateProbeBackfill(
-      const std::vector<QueryInterner::Id>& ids);
-
-  /// String-path variant of the probe backfill (naive strategy or
-  /// query_fingerprints off): same off-ledger contract, materialized
-  /// queries instead of interned ids.
+  /// Evaluates `queries` with the governor detached and cache publication
+  /// disabled: reads are allowed, but no new cache entries appear — a cube
+  /// executed here was never charged, so publishing it would let a later
+  /// budgeted run hit an entry whose charge replay diverges from a cold
+  /// rebuild. Recovery still runs, so chaos faults heal the same way they
+  /// do on the main path. Probing runs on the string path only (naive
+  /// strategy or query_fingerprints off), so this takes queries, not ids.
   std::vector<std::optional<double>> EvaluateProbeBackfill(
       const std::vector<SimpleAggregateQuery>& queries);
 
@@ -204,8 +150,7 @@ class EvalEngine {
   EvalStrategy strategy() const { return strategy_; }
 
   /// Toggles the fingerprint-keyed plan/cache path (default on). Off = the
-  /// string-keyed reference path, kept for differential testing exactly as
-  /// the scalar cube oracle and the uncached relation path are.
+  /// string-keyed reference path, kept for differential testing.
   void SetQueryFingerprints(bool enabled) { query_fingerprints_ = enabled; }
   bool query_fingerprints() const { return query_fingerprints_; }
 
@@ -231,21 +176,21 @@ class EvalEngine {
   /// Overrides the relation cache joins are acquired through (default: the
   /// database's own shared cache). nullptr disables caching — every query
   /// and cube materializes a private join, the pre-cache reference behavior
-  /// the differential tests and benches compare against. Not owned.
+  /// the differential tests and benches compare against, and the recovery
+  /// ladder's fresh-join rung. Not owned.
   void SetRelationCache(RelationCache* cache) { relation_cache_ = cache; }
   RelationCache* relation_cache() const { return relation_cache_; }
 
-  /// Selects how cube queries materialize (default: vectorized). The scalar
-  /// oracle is the row-at-a-time reference path; results are bit-identical
-  /// either way — differential tests switch this to pin that down.
-  void SetCubeExecMode(CubeExecMode mode) { cube_exec_ = mode; }
-  CubeExecMode cube_exec_mode() const { return cube_exec_; }
+  /// Canonical ladder positions of QueryRecovery::rung. The numbers are
+  /// stable across releases so recovery records stay comparable.
+  static constexpr uint32_t kPrimaryRung = 0;
+  static constexpr uint32_t kFreshJoinRung = 3;
 
   /// \brief One query's trip through the recovery layer (consumed per batch
   /// via ConsumeRecoveryRecords). `rung` is the canonical ladder position
-  /// the query ended on: 0 = healed by same-rung retries on the primary
-  /// configuration, 1 = scalar cube oracle, 2 = string-keyed plans,
-  /// 3 = fresh (uncached) joins; see RecoveryRungName.
+  /// the query ended on: kPrimaryRung = healed by same-rung retries on the
+  /// primary configuration, kFreshJoinRung = re-run on fresh (uncached)
+  /// joins; see RecoveryRungName.
   struct QueryRecovery {
     size_t query_index = 0;  ///< index within the batch that failed
     uint32_t attempts = 1;   ///< total evaluation attempts, initial included
@@ -255,9 +200,9 @@ class EvalEngine {
 
   /// Enables (options.enabled, the default) or disables the self-healing
   /// layer: hard-failed queries are retried with backoff while their error
-  /// is transient, then re-run down the fallback ladder (scalar cube →
-  /// string-keyed plans → uncached joins), and only queries failing on every
-  /// rung are surrendered (ConsumeFailedQueries / queries_quarantined).
+  /// is transient, then re-run once on fresh, uncached joins, and queries
+  /// still failing are surrendered (ConsumeFailedQueries /
+  /// queries_quarantined).
   /// Raw engines default to OFF so differential tests observe unmasked
   /// errors; core::AggChecker turns it on from CheckOptions::recovery.
   void SetRecovery(const RecoveryOptions& options) {
@@ -284,7 +229,7 @@ class EvalEngine {
   }
 
   /// Human-readable name of a canonical ladder position: "primary",
-  /// "scalar-cube", "string-plans", "fresh-join".
+  /// "fresh-join".
   static const char* RecoveryRungName(uint32_t rung);
 
   /// Watchdog core, exposed for deterministic unit tests: given per-morsel
@@ -404,22 +349,6 @@ class EvalEngine {
   std::vector<std::optional<double>> EvaluateMergedIds(
       const std::vector<QueryInterner::Id>& ids, bool use_cache);
 
-  /// Shared body of the EvaluateInterned overloads (timer, version sweep,
-  /// dispatch, recovery). batch_decided_ must already hold this batch's
-  /// probe flags (or be empty).
-  std::vector<std::optional<double>> EvaluateInternedImpl(
-      const std::vector<QueryInterner::Id>& ids);
-
-  /// \brief Off-ledger repair of a cached cube whose slice `entry.agg_idx`
-  /// was skipped by probe pruning but is now needed by a live query.
-  ///
-  /// Re-executes the cube's scan into a fresh shell with only that slice
-  /// live — governor detached, so the repair charges nothing (the cached
-  /// cube's recorded charges already replay in full on hits) — and adopts
-  /// the produced cells into the cached cube. The repair's ScanStats stay
-  /// out of the main counters except probe_fillins / probe_fillin_rows.
-  Status FillInSlice(const CacheEntry& entry);
-
   /// Strategy dispatch without the public wrappers' stats bumping or
   /// recovery pass — the single evaluation primitive both the primary
   /// attempt and recovery re-runs go through.
@@ -436,8 +365,8 @@ class EvalEngine {
 
   /// The recovery pass (DESIGN.md §13): retries batch_failed_ queries with
   /// capped backoff while transient, then re-runs the still-failing subset
-  /// down the fallback ladder via `rerun` (which evaluates a subset of the
-  /// original batch under the engine's current configuration and refills
+  /// on fresh joins, via `rerun` (which evaluates a subset of the original
+  /// batch under the engine's current configuration and refills
   /// batch_failed_ with subset-local indices). Healed results are written
   /// into `results`; queries failing on every rung are quarantined.
   void RecoverBatch(
@@ -543,7 +472,6 @@ class EvalEngine {
   const ResourceGovernor* governor_ = nullptr;
   ThreadPool* pool_ = nullptr;
   RelationCache* relation_cache_ = nullptr;  ///< see SetRelationCache
-  CubeExecMode cube_exec_ = CubeExecMode::kVectorized;
   std::mutex hard_error_mu_;
   Status hard_error_;  ///< first unexpected error; see ConsumeHardError()
   // ---- Recovery state (see SetRecovery) --------------------------------
@@ -579,19 +507,12 @@ class EvalEngine {
   /// number of governor trips.
   std::unordered_map<SliceKey, CacheEntry, SliceKeyHasher> fp_cache_;
   std::unordered_map<uint64_t, std::vector<SliceKey>> fp_cache_order_;
-  /// Batch-local scratch for literal collection, epoch-stamped so clearing
-  /// between batches is O(touched), not O(interned).
-  // ---- Probe-pruning state (DESIGN.md §17) -----------------------------
-  /// Probe-decided flags staged by EvaluateInterned(ids, decided) and
-  /// consumed (moved out) at EvaluateMergedIds entry, so recovery re-runs —
-  /// which re-enter with a *subset* of the original ids — can never observe
-  /// misaligned flags.
-  std::vector<uint8_t> batch_decided_;
-  std::vector<uint8_t> decided_settled_;  ///< see decided_settled()
   /// True while EvaluateProbeBackfill runs: cache publication sites are
-  /// skipped (reads and fill-ins of existing entries still happen).
+  /// skipped (reads of existing entries still happen).
   bool publish_read_only_ = false;
 
+  /// Batch-local scratch for literal collection, epoch-stamped so clearing
+  /// between batches is O(touched), not O(interned).
   uint32_t batch_epoch_ = 0;
   std::vector<uint32_t> pred_epoch_;
   std::vector<uint32_t> col_epoch_;

@@ -77,19 +77,18 @@ struct ModelOptions {
   size_t num_threads = 0;
 
   /// Verification-aware candidate pruning (DESIGN.md §17): probe each
-  /// candidate against column statistics and dictionaries before it enters
-  /// the evaluation batch, and skip the aggregation kernels of cube slices
-  /// every reader of which the probe already decided. Reports are
+  /// candidate against column statistics before it enters the evaluation
+  /// batch, and skip the ones that provably cannot match the claim. The
+  /// translator runs it on the string path only (naive strategy, or query
+  /// fingerprints off) and only under an unlimited governor. Reports are
   /// bit-identical with pruning on or off (the probe-pruning differential
-  /// tests pin this down); the flag only trades probe work for kernel work.
-  /// Requires the fingerprint path (query_fingerprints); ignored otherwise.
+  /// tests pin this down); the flag only trades probe work for scans.
   bool probe_pruning = true;
 
   /// Debug/differential mode: run every probe but evaluate all candidates
-  /// for real anyway, counting disagreements between synthesized and real
-  /// outcomes in ProbeStats::probe_conflicts (must be zero — an unsound
-  /// probe bound otherwise). Also cross-checks that fingerprint-equivalent
-  /// candidates never produce diverging results.
+  /// for real anyway, counting decided candidates whose real result matches
+  /// the claim in ProbeStats::probe_conflicts (must be zero — an unsound
+  /// probe bound otherwise).
   bool probe_verify = false;
 
   /// Ranked candidates per claim whose probe-withheld results are

@@ -131,29 +131,8 @@ CandidateProber::CandidateProber(const db::Database& db,
                                  const fragments::FragmentCatalog& catalog)
     : db_(&db),
       catalog_(&catalog),
-      pred_state_(
-          catalog.fragments(fragments::FragmentType::kPredicate).size(),
-          PredState::kUnknown),
       col_info_(
           catalog.fragments(fragments::FragmentType::kAggColumn).size()) {}
-
-CandidateProber::PredState CandidateProber::PredProbe(int frag_index) {
-  PredState& state = pred_state_[static_cast<size_t>(frag_index)];
-  if (state != PredState::kUnknown) return state;
-  state = PredState::kPresent;  // the conservative default: never prune
-  const fragments::QueryFragment& frag =
-      catalog_->fragment(fragments::FragmentType::kPredicate, frag_index);
-  // NaN literals defeat dictionary lookup (NaN != NaN); leave them to the
-  // engine, which gives each NaN its own bucket.
-  if (frag.value.type() == db::ValueType::kDouble &&
-      std::isnan(frag.value.AsDoubleExact())) {
-    return state;
-  }
-  const db::Column* col = db_->FindColumn(frag.column);
-  if (col == nullptr) return state;
-  if (col->DistinctIndexOf(frag.value) < 0) state = PredState::kAbsent;
-  return state;
-}
 
 const CandidateProber::ColumnInfo& CandidateProber::ColumnProbe(
     int frag_index) {
@@ -171,16 +150,16 @@ const CandidateProber::ColumnInfo& CandidateProber::ColumnProbe(
   return info;
 }
 
-ProbeDecision CandidateProber::Probe(
-    const CandidateSpace& space, size_t f, size_t c, size_t s,
-    const rounding::MatchInterval& claim_interval,
-    bool allow_undefined_magnitude, ProbeStats* stats) {
+bool CandidateProber::Probe(const CandidateSpace& space, size_t f, size_t c,
+                            size_t s,
+                            const rounding::MatchInterval& claim_interval,
+                            ProbeStats* stats) {
   ++stats->candidates_probed;
   // Chaos hook: a faulted probe must degrade to "don't prune" — the
   // candidate evaluates normally and the report stays bit-identical.
   Status injected;
   AGG_FAULT_POINT_STATUS("translator.probe", injected);
-  if (!injected.ok()) return ProbeDecision{};
+  if (!injected.ok()) return false;
 
   using fragments::FragmentType;
   const db::AggFn fn =
@@ -192,75 +171,11 @@ ProbeDecision CandidateProber::Probe(
   const bool is_star = agg_frag.column.column.empty();
   const PredicateSubset& subset = space.subsets()[s];
 
-  // ---- Empty-domain family -------------------------------------------
-  // A predicate literal absent from its column's dictionary matches zero
-  // rows (joins never invent values), so the candidate's relation is empty
-  // and the exact result follows from AnswerFromCube's zero-row semantics.
-  bool any_absent = false;
-  bool absent_outside_agg = false;  // some absent pred not on the agg column
-  bool condition_absent = false;    // predicates[0] absent (CondProb's den)
-  for (size_t p = 0; p < subset.frags.size(); ++p) {
-    if (PredProbe(subset.frags[p]) != PredState::kAbsent) continue;
-    any_absent = true;
-    const fragments::QueryFragment& pf =
-        catalog_->fragment(FragmentType::kPredicate, subset.frags[p]);
-    if (is_star || !(pf.column == agg_frag.column)) absent_outside_agg = true;
-    if (p == 0) condition_absent = true;
-  }
-  if (any_absent) {
-    ProbeDecision d;
-    d.decided = true;
-    switch (fn) {
-      case db::AggFn::kCount:
-      case db::AggFn::kCountDistinct:
-        d.known_result = 0.0;  // count-like: absent group = zero rows
-        break;
-      case db::AggFn::kSum:
-      case db::AggFn::kAvg:
-      case db::AggFn::kMin:
-      case db::AggFn::kMax:
-        d.known_result = std::nullopt;  // undefined over zero rows
-        break;
-      case db::AggFn::kPercentage:
-        // The denominator relaxes predicates on the aggregation column
-        // only; an absent literal elsewhere (or under "*") pins the
-        // denominator to zero too → undefined. Otherwise the denominator
-        // is unknown (0/den or 0/0) and the probe cannot decide.
-        if (absent_outside_agg) {
-          d.known_result = std::nullopt;
-        } else {
-          d.decided = false;
-        }
-        break;
-      case db::AggFn::kConditionalProbability:
-        // The denominator pins only the condition (predicates[0]).
-        if (condition_absent) {
-          d.known_result = std::nullopt;
-        } else {
-          d.decided = false;
-        }
-        break;
-    }
-    if (d.decided) {
-      ++stats->pruned_domain;
-      ++stats->candidates_pruned;
-      return d;
-    }
-  }
-
-  // ---- Magnitude family ----------------------------------------------
   // Intersect the aggregate's attainable range with the set of values that
   // can round to the claim; an empty intersection proves matches == false
-  // without knowing the result. Aggregates that can evaluate to
-  // "undefined" are gated (see the header): Count/CountDistinct always
-  // produce a value when their cube completes, so they prune under any
-  // governor.
-  const bool can_be_undefined =
-      fn != db::AggFn::kCount && fn != db::AggFn::kCountDistinct;
-  if (can_be_undefined && !allow_undefined_magnitude) return ProbeDecision{};
-
+  // without knowing the result.
   const ColumnInfo& info = ColumnProbe(space.columns()[c].frag);
-  if (!is_star && info.column == nullptr) return ProbeDecision{};
+  if (!is_star && info.column == nullptr) return false;
 
   // Single-table shape: every referenced table is the aggregate fragment's
   // own (the join closure then adds nothing and row counts are exact).
@@ -278,7 +193,7 @@ ProbeDecision CandidateProber::Probe(
   Bounds bounds =
       AttainableBounds(fn, is_star ? nullptr : info.column, info.table_rows,
                        single_table);
-  if (!bounds.usable) return ProbeDecision{};
+  if (!bounds.usable) return false;
 
   double lo = std::max(WidenLo(bounds.lo), claim_interval.lo);
   double hi = std::min(WidenHi(bounds.hi), claim_interval.hi);
@@ -286,14 +201,10 @@ ProbeDecision CandidateProber::Probe(
     lo = std::ceil(lo);
     hi = std::floor(hi);
   }
-  if (lo <= hi) return ProbeDecision{};
+  if (lo <= hi) return false;
 
-  ProbeDecision d;
-  d.decided = true;
-  d.no_result = true;
-  ++stats->pruned_magnitude;
   ++stats->candidates_pruned;
-  return d;
+  return true;
 }
 
 }  // namespace model

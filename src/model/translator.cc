@@ -1,7 +1,6 @@
 #include "model/translator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 #include <unordered_map>
 
@@ -26,22 +25,11 @@ uint64_t TripleKey(size_t f, size_t c, size_t s) {
 struct EvalOutcome {
   std::optional<double> result;
   bool matches = false;
-  /// Probe bookkeeping (DESIGN.md §17): the outcome was synthesized from a
-  /// settled probe decision instead of an evaluation. `probe_no_result`
-  /// marks the magnitude family — matches is provably false but the result
-  /// itself was never computed (the top-k backfill fills it for reports).
+  /// The probe decided this candidate instead of an evaluation (DESIGN.md
+  /// §17): matches is provably false, but the result itself was never
+  /// computed (the top-k backfill fills it for reports).
   bool probe_decided = false;
-  bool probe_no_result = false;
 };
-
-/// NaN-tolerant equality of two optional evaluation results (the verify
-/// mode's disagreement test: nullopt == nullopt, NaN == NaN).
-bool SameResult(const std::optional<double>& a,
-                const std::optional<double>& b) {
-  if (a.has_value() != b.has_value()) return false;
-  if (!a.has_value()) return true;
-  return *a == *b || (std::isnan(*a) && std::isnan(*b));
-}
 
 struct ScoredTriple {
   double score;
@@ -370,10 +358,9 @@ TranslationResult Translator::Translate(
   // not thread-safe); the parallel final-distributions loop below sticks to
   // CandidateSpace::Materialize.
   // The naive strategy takes the string path even when fingerprints are
-  // on: its interned dispatch ignores probe flags (the engine degrades
-  // them to "don't prune"), while the string path can skip settled
-  // candidates outright — and interned materialization is
-  // content-identical to the space's, so results cannot move.
+  // on: it scans per query either way, and the string path is where
+  // probing runs. Interned materialization is content-identical to the
+  // space's, so results cannot move.
   db::QueryInterner* interner =
       engine->query_fingerprints() &&
               engine->strategy() != db::EvalStrategy::kNaive
@@ -389,18 +376,16 @@ TranslationResult Translator::Translate(
 
   // Verification-aware probe stage (DESIGN.md §17): candidates are probed
   // once (per triple, cached across EM iterations via the outcomes map) as
-  // they enter their first batch. On the fingerprint path decided
-  // candidates still ship to the engine (flagged, so charges and reports
-  // stay bit-identical); on the string path there is no flag transport, so
-  // a settled probe skips the batch outright — work-proportional charging,
-  // which is only sound when no budget is in play (exhaustion points must
-  // not move). In probe_verify mode decisions are recorded and
-  // cross-checked but never acted on, so everything evaluates for real.
-  const bool string_path_pruning =
-      interner == nullptr &&
-      (governor == nullptr || governor->limits().unlimited());
+  // they enter their first batch, and a decided candidate skips the batch
+  // outright. That is work-proportional charging, so probing runs only
+  // when no budget is in play (exhaustion points must not move), and only
+  // on the string path: per-candidate scans are where skipping pays — a
+  // merged cube computes the pruned slice's neighbours in the same scan.
+  // In probe_verify mode decisions are recorded and cross-checked but
+  // never acted on, so everything evaluates for real.
   const bool probing =
-      options_.probe_pruning && (interner != nullptr || string_path_pruning);
+      options_.probe_pruning && interner == nullptr &&
+      (governor == nullptr || governor->limits().unlimited());
   std::optional<CandidateProber> prober;
   std::vector<rounding::MatchInterval> claim_intervals;
   if (probing) {
@@ -412,17 +397,6 @@ TranslationResult Translator::Translate(
           options_.rounding_tolerance));
     }
   }
-  // Magnitude prunes of aggregates that can evaluate to "undefined" would
-  // perturb the partial-claim marking under a limited governor (an
-  // undefined real result marks the claim partial; a withheld one must
-  // not), so they only run when no budget is in play.
-  const bool allow_undef_magnitude =
-      governor == nullptr || governor->limits().unlimited();
-  // probe_verify cross-check: fingerprint-equivalent candidates (same
-  // interned id, any claim, any iteration) must never disagree on results.
-  std::unordered_map<db::QueryInterner::Id, std::optional<double>>
-      verify_results;
-
   Priors priors = Priors::Uniform(*catalog_);
   if (options_.trace_priors) result.prior_trace.push_back(priors);
   // scope_num_claims pins the budget to the full document's claim count
@@ -465,52 +439,33 @@ TranslationResult Translator::Translate(
     std::vector<db::SimpleAggregateQuery> batch;
     std::vector<db::QueryInterner::Id> id_batch;
     std::vector<std::pair<size_t, uint64_t>> batch_owner;
-    std::vector<uint8_t> decided_batch;
-    std::vector<ProbeDecision> probe_batch;
+    std::vector<uint8_t> probe_batch;  // probe_verify: decided per entry
     for (size_t i = 0; i < n; ++i) {
       for (const ScoredTriple& t : selections[i]) {
         uint64_t key = TripleKey(t.f, t.c, t.s);
         if (outcomes[i].count(key) > 0) continue;
-        ProbeDecision d;
         if (probing) {
           Timer probe_timer;
-          d = prober->Probe(*spaces[i], t.f, t.c, t.s, claim_intervals[i],
-                            allow_undef_magnitude, &result.probe_stats);
+          const bool decided =
+              prober->Probe(*spaces[i], t.f, t.c, t.s, claim_intervals[i],
+                            &result.probe_stats);
           result.probe_stats.probe_seconds += probe_timer.ElapsedSeconds();
-        }
-        if (interner != nullptr) {
-          id_batch.push_back(encoder_for(i).Encode(t.f, t.c, t.s));
-          if (probing) {
-            decided_batch.push_back(
-                d.decided && !options_.probe_verify ? 1 : 0);
-            probe_batch.push_back(d);
-          }
-        } else {
-          if (probing && d.decided && !options_.probe_verify) {
-            // String path: the settled probe IS the outcome; the candidate
-            // never evaluates. Sound by the verify-mode contract (the
-            // synthesized outcome equals the real one), and bit-identity
-            // still holds because the top-k backfill restores withheld
-            // magnitude results before anything is reported.
+          if (decided && !options_.probe_verify) {
+            // The decided probe IS the outcome; the candidate never
+            // evaluates. Sound by the verify-mode contract (the real result
+            // never matches), and bit-identity still holds because the
+            // top-k backfill restores withheld results before anything is
+            // reported.
             EvalOutcome o;
             o.probe_decided = true;
-            if (d.no_result) {
-              o.probe_no_result = true;
-            } else {
-              o.result = d.known_result;
-              o.matches =
-                  o.result.has_value() &&
-                  rounding::Matches(*o.result, claims[i].claimed_value(),
-                                    options_.rounding_mode,
-                                    options_.rounding_tolerance);
-            }
             outcomes[i][key] = o;
             continue;
           }
-          if (probing) {
-            decided_batch.push_back(0);  // string path ships no flags
-            probe_batch.push_back(d);
-          }
+          probe_batch.push_back(decided ? 1 : 0);
+        }
+        if (interner != nullptr) {
+          id_batch.push_back(encoder_for(i).Encode(t.f, t.c, t.s));
+        } else {
           batch.push_back(spaces[i]->Materialize(t.f, t.c, t.s, *catalog_));
         }
         batch_owner.emplace_back(i, key);
@@ -519,71 +474,16 @@ TranslationResult Translator::Translate(
     }
     if (!batch_owner.empty()) {
       result.queries_evaluated += batch_owner.size();
-      auto results =
-          interner != nullptr
-              ? (probing && !options_.probe_verify
-                     ? engine->EvaluateInterned(id_batch, decided_batch)
-                     : engine->EvaluateInterned(id_batch))
-              : engine->EvaluateBatch(batch);
+      auto results = interner != nullptr ? engine->EvaluateInterned(id_batch)
+                                         : engine->EvaluateBatch(batch);
       if (!absorb_engine_failures(engine, [&](size_t b) {
             return batch_owner[std::min(b, batch_owner.size() - 1)].first;
           })) {
         return result;
       }
-      const std::vector<uint8_t>& settled = engine->decided_settled();
       for (size_t b = 0; b < batch_owner.size(); ++b) {
         auto [claim_idx, key] = batch_owner[b];
         EvalOutcome& outcome = outcomes[claim_idx][key];
-        const ProbeDecision* pd =
-            probing && probe_batch[b].decided ? &probe_batch[b] : nullptr;
-        if (options_.probe_verify && probing) {
-          if (interner != nullptr) {
-            // Consistency: fingerprint-equivalent candidates must agree.
-            auto [vit, fresh] =
-                verify_results.emplace(id_batch[b], results[b]);
-            if (!fresh && !SameResult(vit->second, results[b])) {
-              ++result.probe_stats.probe_conflicts;
-            }
-          }
-          if (pd != nullptr) {
-            // Soundness: the synthesized outcome must agree with the real
-            // one — the exact result for the empty-domain family, a
-            // non-matching result for the magnitude family.
-            bool conflict =
-                pd->no_result
-                    ? (results[b].has_value() &&
-                       rounding::Matches(*results[b],
-                                         claims[claim_idx].claimed_value(),
-                                         options_.rounding_mode,
-                                         options_.rounding_tolerance))
-                    : !SameResult(pd->known_result, results[b]);
-            if (conflict) ++result.probe_stats.probe_conflicts;
-          }
-        }
-        // The engine's evaluation wins whenever it produced a value (the
-        // slice was live anyway, or recovery healed it); the synthesized
-        // outcome stands only for settled decided queries whose slice was
-        // cleanly skipped. Unsettled decided queries (failed/aborted cube)
-        // degrade exactly like an unpruned failure.
-        if (pd != nullptr && !options_.probe_verify &&
-            !results[b].has_value() && b < settled.size() &&
-            settled[b] != 0) {
-          outcome.probe_decided = true;
-          if (pd->no_result) {
-            outcome.probe_no_result = true;
-            outcome.result = std::nullopt;
-            outcome.matches = false;
-          } else {
-            outcome.result = pd->known_result;
-            outcome.matches =
-                outcome.result.has_value() &&
-                rounding::Matches(*outcome.result,
-                                  claims[claim_idx].claimed_value(),
-                                  options_.rounding_mode,
-                                  options_.rounding_tolerance);
-          }
-          continue;
-        }
         outcome.result = results[b];
         outcome.matches =
             results[b].has_value() &&
@@ -591,6 +491,10 @@ TranslationResult Translator::Translate(
                               claims[claim_idx].claimed_value(),
                               options_.rounding_mode,
                               options_.rounding_tolerance);
+        // Soundness (probe_verify): a decided candidate must not match.
+        if (probing && probe_batch[b] != 0 && outcome.matches) {
+          ++result.probe_stats.probe_conflicts;
+        }
       }
     }
 
@@ -660,10 +564,10 @@ TranslationResult Translator::Translate(
       }
       for (const ScoredTriple& t : selections[i]) {
         auto it = outcomes[i].find(TripleKey(t.f, t.c, t.s));
-        // A probe-decided no-result outcome is a *concrete* verdict (matches
-        // provably false), not an aborted scan — it never marks partial.
+        // A probe-decided outcome is a *concrete* verdict (matches provably
+        // false), not an aborted scan — it never marks partial.
         if (it == outcomes[i].end() || (!it->second.result.has_value() &&
-                                        !it->second.probe_no_result)) {
+                                        !it->second.probe_decided)) {
           result.partial[i] = true;
           break;
         }
@@ -698,7 +602,7 @@ TranslationResult Translator::Translate(
       cand.prior = factors.of(t.f, t.c, t.s);
       cand.result = o.result;
       cand.matches = o.matches;
-      cand.probe_decided = o.probe_no_result;
+      cand.probe_decided = o.probe_decided;
       double post = cand.keyword_score;
       if (options_.use_priors) post *= cand.prior;
       if (options_.use_eval_results) {
@@ -717,14 +621,13 @@ TranslationResult Translator::Translate(
               });
   });
 
-  // Top-k backfill (DESIGN.md §17): magnitude-pruned candidates that made
-  // it into the reported head of a distribution carry no result; evaluate
-  // them for real so reports show actual values. Off-ledger by contract —
+  // Top-k backfill (DESIGN.md §17): pruned candidates that made it into
+  // the reported head of a distribution carry no result; evaluate them for
+  // real so reports show actual values. Off-ledger by contract —
   // EvaluateProbeBackfill charges no governor and publishes no new cache
   // entries — so later claims and re-checks see identical state either way.
   if (probing && !options_.probe_verify) {
-    std::vector<db::QueryInterner::Id> back_ids;
-    std::vector<db::SimpleAggregateQuery> back_queries;  // string path
+    std::vector<db::SimpleAggregateQuery> back_queries;
     std::vector<std::pair<size_t, size_t>> back_owner;  // (claim, rank)
     for (size_t i = 0; i < n; ++i) {
       if (is_pinned(i)) continue;
@@ -734,19 +637,13 @@ TranslationResult Translator::Translate(
       for (size_t r = 0; r < limit; ++r) {
         const RankedCandidate& cand = dist.ranked[r];
         if (!cand.probe_decided || cand.result.has_value()) continue;
-        if (interner != nullptr) {
-          back_ids.push_back(interner->InternQuery(cand.query));
-        } else {
-          back_queries.push_back(cand.query);
-        }
+        back_queries.push_back(cand.query);
         back_owner.emplace_back(i, r);
       }
     }
     if (!back_owner.empty()) {
       Timer backfill_timer;
-      auto back = interner != nullptr
-                      ? engine->EvaluateProbeBackfill(back_ids)
-                      : engine->EvaluateProbeBackfill(back_queries);
+      auto back = engine->EvaluateProbeBackfill(back_queries);
       // The backfill is best-effort cosmetics: failures leave the (already
       // correct) probe verdict in place, and must not leak into this run's
       // recovery/error ledgers.

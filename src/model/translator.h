@@ -52,7 +52,7 @@ struct ClaimRecovery {
   bool quarantined = false;   ///< some query failed on every rung; the
                               ///< claim degrades to a partial verdict
   bool engaged() const { return attempts > 0; }
-  /// "primary" / "scalar-cube" / "string-plans" / "fresh-join".
+  /// "primary" / "fresh-join".
   const char* final_path() const {
     return db::EvalEngine::RecoveryRungName(deepest_rung);
   }
@@ -92,7 +92,8 @@ struct TranslationResult {
   /// not. Empty for claims whose space references no table.
   std::vector<std::vector<std::string>> dependency_tables;
   /// Verification-aware probe counters (DESIGN.md §17); all-zero when
-  /// ModelOptions::probe_pruning is off or the string path is in use.
+  /// ModelOptions::probe_pruning is off, on the fingerprint path, or under
+  /// a limited governor.
   ProbeStats probe_stats;
 };
 

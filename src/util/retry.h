@@ -35,21 +35,17 @@ void SleepForBackoff(const RetryPolicy& policy, uint32_t retry_index);
 
 /// \brief Knobs for the self-healing evaluation layer (DESIGN.md §13).
 ///
-/// Defaults are ON at the `CheckOptions` level: a transient fault is
-/// retried on the same configuration, a persistent fault in an optimized
-/// path descends the fallback ladder (vectorized cube → scalar oracle,
-/// interned fingerprint plans → string-keyed plans, cached relations →
-/// fresh rebuild), and only claims that fail on every rung are quarantined
-/// as partial verdicts. Raw `db::EvalEngine` instances keep recovery OFF
-/// unless SetRecovery is called, so differential tests see unmasked errors.
+/// Defaults are ON at the `CheckOptions` level. The ladder has two rungs: a
+/// transient fault is retried on the same configuration, a persistent one
+/// is re-run once on fresh, uncached joins (which sheds a poisoned relation
+/// cache entry), and claims still failing are quarantined as partial
+/// verdicts. Raw `db::EvalEngine` instances keep recovery OFF unless
+/// SetRecovery is called, so differential tests see unmasked errors.
 struct RecoveryOptions {
   /// Master switch. When false the engine surfaces hard errors unchanged.
   bool enabled = true;
   /// Same-rung retry schedule for transient (Status::IsTransient) errors.
   RetryPolicy retry;
-  /// Descend the fallback ladder after retries are exhausted. When false,
-  /// failing queries go straight to quarantine.
-  bool fallback_ladder = true;
   /// A merged-batch job whose slowest morsel exceeds this multiple of the
   /// batch's median morsel wall-time is flagged (EvalStats::watchdog_flags).
   /// Measurement-only and wall-clock based — never part of determinism

@@ -12,8 +12,10 @@
 #include "core/aggchecker.h"
 #include "core/interactive_session.h"
 #include "corpus/generator.h"
+#include "db/cube.h"
 #include "db/relation_cache.h"
 #include "db/table.h"
+#include "support/cube_oracle.h"
 #include "test_fixtures.h"
 #include "text/document.h"
 #include "util/csv.h"
@@ -297,7 +299,10 @@ TEST(ChaosTest, FuzzLiteStarvedBudgetsDegradeGracefully) {
 // Same degradation contract for the modeled-memory budget: cube group and
 // combo state, join indexes, and naive-scan state all charge bytes, and a
 // starved byte budget must produce partial verdicts — never an error, a
-// crash, or a spuriously flagged claim. Both cube backends are covered.
+// crash, or a spuriously flagged claim. The scalar cube oracle
+// (tests/support) must agree with the production pipeline on whether each
+// starved cube fits: both charge the same modeled bytes, so under a
+// memory-only budget they trip together or complete with equal totals.
 TEST(ChaosTest, FuzzLiteStarvedMemoryBudgetsDegradeGracefully) {
   fi::DisarmAll();
   corpus::GeneratorOptions options;
@@ -307,31 +312,61 @@ TEST(ChaosTest, FuzzLiteStarvedMemoryBudgetsDegradeGracefully) {
     corpus::CorpusCase test_case = corpus::GenerateCase(c, options);
     for (uint64_t budget :
          {uint64_t{1}, uint64_t{4096}, uint64_t{1} << 20}) {
-      for (db::CubeExecMode mode :
-           {db::CubeExecMode::kVectorized, db::CubeExecMode::kScalarOracle}) {
-        core::CheckOptions check_options;
-        check_options.governor.max_memory_bytes = budget;
-        check_options.cube_exec = mode;
-        auto checker =
-            core::AggChecker::Create(&test_case.database, check_options);
-        ASSERT_TRUE(checker.ok());
-        auto report = checker->Check(test_case.document);
-        ASSERT_TRUE(report.ok())
-            << "case " << c << " budget " << budget << " mode "
-            << db::CubeExecModeName(mode) << ": "
-            << report.status().ToString();
-        for (const auto& verdict : report->verdicts) {
-          if (verdict.partial) {
-            EXPECT_FALSE(verdict.likely_erroneous)
-                << "partial claim flagged erroneous (case " << c
-                << ", memory budget " << budget << ")";
-          }
+      core::CheckOptions check_options;
+      check_options.governor.max_memory_bytes = budget;
+      auto checker =
+          core::AggChecker::Create(&test_case.database, check_options);
+      ASSERT_TRUE(checker.ok());
+      auto report = checker->Check(test_case.document);
+      ASSERT_TRUE(report.ok()) << "case " << c << " budget " << budget
+                               << ": " << report.status().ToString();
+      for (const auto& verdict : report->verdicts) {
+        if (verdict.partial) {
+          EXPECT_FALSE(verdict.likely_erroneous)
+              << "partial claim flagged erroneous (case " << c
+              << ", memory budget " << budget << ")";
         }
-        if (report->governor_usage.exhausted) {
-          EXPECT_EQ(report->governor_usage.stop_code,
-                    StatusCode::kBudgetExhausted);
-          EXPECT_GE(report->governor_usage.memory_bytes_charged, budget);
-        }
+      }
+      if (report->governor_usage.exhausted) {
+        EXPECT_EQ(report->governor_usage.stop_code,
+                  StatusCode::kBudgetExhausted);
+        EXPECT_GE(report->governor_usage.memory_bytes_charged, budget);
+      }
+
+      // Cube-level oracle arm: one cube over every string column of the
+      // first table (the widest group/combo state this case can model).
+      const db::Table& table = test_case.database.table(0);
+      std::vector<db::ColumnRef> dims;
+      std::vector<std::vector<db::Value>> literals;
+      for (size_t col = 0; col < table.num_columns() && dims.size() < 2;
+           ++col) {
+        const db::Column& column = table.column(col);
+        if (column.is_numeric() || column.DistinctValues().empty()) continue;
+        dims.push_back({table.name(), column.name()});
+        literals.push_back({column.DistinctValues()[0]});
+      }
+      db::CubeAggregate count_star;
+      count_star.column = {table.name(), ""};
+      GovernorLimits limits;
+      limits.max_memory_bytes = budget;
+      ResourceGovernor oracle_governor(limits);
+      ResourceGovernor production_governor(limits);
+      auto oracle = db::ExecuteCubeOracle(test_case.database, dims, literals,
+                                          {count_star}, nullptr,
+                                          &oracle_governor);
+      auto production = db::ExecuteCube(test_case.database, dims, literals,
+                                        {count_star}, nullptr,
+                                        &production_governor);
+      ASSERT_EQ(oracle.ok(), production.ok())
+          << "case " << c << " budget " << budget;
+      if (!oracle.ok()) {
+        EXPECT_EQ(oracle.status().code(), StatusCode::kBudgetExhausted);
+        EXPECT_EQ(production.status().code(), StatusCode::kBudgetExhausted);
+      } else {
+        EXPECT_EQ(oracle_governor.usage().memory_bytes_charged,
+                  production_governor.usage().memory_bytes_charged);
+        EXPECT_EQ(oracle_governor.usage().cube_groups_charged,
+                  production_governor.usage().cube_groups_charged);
       }
     }
   }

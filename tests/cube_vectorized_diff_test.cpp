@@ -1,9 +1,9 @@
-// Differential property test for the cube execution backends: on
-// randomized schemas, joins, and cube specs — NULL-heavy columns, NaN/Inf
-// measures, mixed long/double cells, high-cardinality dimensions, star
-// aggregates — the vectorized combo-partitioned pipeline must produce
-// results *bit-identical* to the row-at-a-time scalar oracle, for any
-// thread count, and charge the same governor totals.
+// Differential property test for cube execution: on randomized schemas,
+// joins, and cube specs — NULL-heavy columns, NaN/Inf measures, mixed
+// long/double cells, high-cardinality dimensions, star aggregates — the
+// production combo-partitioned pipeline must produce results
+// *bit-identical* to the row-at-a-time scalar oracle (tests/support), for
+// any thread count, and charge the same governor totals.
 
 #include "db/cube.h"
 
@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "support/cube_oracle.h"
 #include "util/resource_governor.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -214,15 +215,26 @@ struct ExecOutcome {
   GovernorUsage usage;
 };
 
+/// Runs the production pipeline on `pool` (nullptr = serial).
 ExecOutcome RunCube(const Database& database, const CubeSpec& spec,
-                CubeExecMode mode, ThreadPool* pool) {
+                    ThreadPool* pool) {
   ExecOutcome out;
   ResourceGovernor governor;
   CubeExecOptions options;
-  options.mode = mode;
   options.pool = pool;
   auto cube = ExecuteCube(database, spec.dims, spec.literals, spec.aggs,
                           nullptr, &governor, options);
+  EXPECT_TRUE(cube.ok()) << cube.status().ToString();
+  if (cube.ok()) out.cube = *cube;
+  out.usage = governor.usage();
+  return out;
+}
+
+ExecOutcome RunOracle(const Database& database, const CubeSpec& spec) {
+  ExecOutcome out;
+  ResourceGovernor governor;
+  auto cube = ExecuteCubeOracle(database, spec.dims, spec.literals, spec.aggs,
+                                nullptr, &governor);
   EXPECT_TRUE(cube.ok()) << cube.status().ToString();
   if (cube.ok()) out.cube = *cube;
   out.usage = governor.usage();
@@ -251,14 +263,10 @@ TEST(CubeVectorizedDiffTest, RandomizedCubesMatchScalarOracleBitExact) {
                  std::to_string(dim_card) +
                  (join_mode ? " join" : " single"));
 
-    ExecOutcome oracle =
-        RunCube(database, spec, CubeExecMode::kScalarOracle, nullptr);
-    ExecOutcome serial =
-        RunCube(database, spec, CubeExecMode::kVectorized, nullptr);
-    ExecOutcome threaded2 =
-        RunCube(database, spec, CubeExecMode::kVectorized, &pool2);
-    ExecOutcome threaded8 =
-        RunCube(database, spec, CubeExecMode::kVectorized, &pool8);
+    ExecOutcome oracle = RunOracle(database, spec);
+    ExecOutcome serial = RunCube(database, spec, nullptr);
+    ExecOutcome threaded2 = RunCube(database, spec, &pool2);
+    ExecOutcome threaded8 = RunCube(database, spec, &pool8);
     ASSERT_TRUE(oracle.cube && serial.cube && threaded2.cube &&
                 threaded8.cube);
 
@@ -266,14 +274,18 @@ TEST(CubeVectorizedDiffTest, RandomizedCubesMatchScalarOracleBitExact) {
     ExpectCubesBitIdentical(*oracle.cube, *threaded2.cube, "2 threads");
     ExpectCubesBitIdentical(*oracle.cube, *threaded8.cube, "8 threads");
 
-    // Governor accounting is mode- and thread-invariant on clean runs:
-    // both backends model the same join/combo/group state.
+    // Governor accounting matches the oracle at any thread count on clean
+    // runs: both model the same join/combo/group state.
     for (const ExecOutcome* other : {&serial, &threaded2, &threaded8}) {
       EXPECT_EQ(oracle.usage.rows_charged, other->usage.rows_charged);
       EXPECT_EQ(oracle.usage.cube_groups_charged,
                 other->usage.cube_groups_charged);
       EXPECT_EQ(oracle.usage.memory_bytes_charged,
                 other->usage.memory_bytes_charged);
+      // The recorded charges a warm cache hit replays must match too.
+      EXPECT_EQ(oracle.cube->charges.rows, other->cube->charges.rows);
+      EXPECT_EQ(oracle.cube->charges.combos, other->cube->charges.combos);
+      EXPECT_EQ(oracle.cube->charges.groups, other->cube->charges.groups);
     }
   }
 }
@@ -300,10 +312,8 @@ TEST(CubeVectorizedDiffTest, DegenerateColumnsMatch) {
   min.column = {"fact", "m"};
   CubeAggregate count;
   spec.aggs = {count, sum, min};
-  ExecOutcome oracle =
-      RunCube(database, spec, CubeExecMode::kScalarOracle, nullptr);
-  ExecOutcome vectorized =
-      RunCube(database, spec, CubeExecMode::kVectorized, nullptr);
+  ExecOutcome oracle = RunOracle(database, spec);
+  ExecOutcome vectorized = RunCube(database, spec, nullptr);
   ASSERT_TRUE(oracle.cube && vectorized.cube);
   ExpectCubesBitIdentical(*oracle.cube, *vectorized.cube, "degenerate");
   EXPECT_DOUBLE_EQ(vectorized.cube->Lookup({0}, 0).value(), 100.0);

@@ -54,7 +54,8 @@ TEST(HarnessTest, RecoveryCountersSurfaceInRunResult) {
   EXPECT_EQ(clean.claims_recovered, 0u);
   EXPECT_EQ(clean.claims_quarantined, 0u);
 
-  fault_injection::Arm("cube.scan.vectorized");
+  // A poisoned relation cache: healed on the fresh-join rung.
+  fault_injection::Arm("relation.cache.acquire");
   auto healed = RunOnCorpus(corpus, options);
   fault_injection::DisarmAll();
   EXPECT_GT(healed.ladder_descents, 0u)

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cinttypes>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "corpus/embedded_articles.h"
 #include "corpus/generator.h"
 #include "db/eval_engine.h"
+#include "support/cube_oracle.h"
 #include "util/fault_injection.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
@@ -134,28 +136,44 @@ TEST(ParallelDeterminismTest, GeneratedCasesIdenticalAcrossThreadCounts) {
   }
 }
 
-// The cube backends are interchangeable: the vectorized pipeline and the
-// row-at-a-time scalar oracle produce bit-identical reports — including
-// governor charge totals (both modes charge the same canonical modeled
-// constants) — at any thread count.
+// The production cube pipeline answers exactly like the row-at-a-time
+// scalar oracle (tests/support): every evaluated candidate a report shows —
+// the top-k widened to the whole final selection — carries the oracle's
+// answer bit for bit, and the reports are identical at 1, 2, and 8
+// threads. (Cube-level cell and governor-charge parity with the oracle is
+// pinned by cube_vectorized_diff_test.)
 TEST(ParallelDeterminismTest, CubeExecModesProduceIdenticalReports) {
   fi::DisarmAll();
   corpus::GeneratorOptions options;
   options.num_cases = 3;
   options.seed = 808;
+  size_t compared = 0;
   for (size_t c = 0; c < options.num_cases; ++c) {
     corpus::CorpusCase test_case = corpus::GenerateCase(c, options);
-    core::CheckOptions oracle = ThreadedOptions(1);
-    oracle.cube_exec = db::CubeExecMode::kScalarOracle;
-    std::string baseline = RunCase(test_case, oracle);
-    ASSERT_NE(baseline, "check-failed");
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      core::CheckOptions vectorized = ThreadedOptions(threads);
-      vectorized.cube_exec = db::CubeExecMode::kVectorized;
-      EXPECT_EQ(RunCase(test_case, vectorized), baseline)
-          << "case " << c << " vectorized with " << threads << " threads";
+    core::CheckOptions serial = ThreadedOptions(1);
+    serial.report_top_k = std::numeric_limits<size_t>::max();
+    auto checker = core::AggChecker::Create(&test_case.database, serial);
+    ASSERT_TRUE(checker.ok());
+    auto report = checker->Check(test_case.document);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    for (const auto& verdict : report->verdicts) {
+      for (const auto& cand : verdict.top_queries) {
+        auto want = db::AnswerByOracle(test_case.database, cand.query);
+        if (!want.ok()) continue;  // outside the cube path (executor-served)
+        EXPECT_EQ(Bits(cand.result), Bits(*want))
+            << "case " << c << ": " << cand.query.ToSql();
+        ++compared;
+      }
+    }
+    const std::string baseline = Fingerprint(*report);
+    for (size_t threads : {size_t{2}, size_t{8}}) {
+      core::CheckOptions threaded = ThreadedOptions(threads);
+      threaded.report_top_k = serial.report_top_k;
+      EXPECT_EQ(RunCase(test_case, threaded), baseline)
+          << "case " << c << " with " << threads << " threads";
     }
   }
+  EXPECT_GT(compared, 100u);
 }
 
 // Engine-level determinism: the merged/cached strategies must keep their
@@ -286,7 +304,7 @@ TEST(ParallelDeterminismTest, FaultPointsStillDocumentedWithThreads) {
 
 // Self-healing under concurrency (the TSan interplay regression): one
 // thread's run trips its max_memory_bytes budget while another thread's
-// fault domain is mid-backoff retrying a transient vectorized-scan fault.
+// fault domain is mid-backoff retrying a transient relation-cache fault.
 // The two runs share only the global fault registry (mutex-guarded); the
 // recovering run must heal without quarantine and produce verdicts
 // bit-identical across 1, 2, and 8 worker threads, no matter how the
@@ -300,13 +318,13 @@ TEST(ParallelDeterminismTest, MemoryTripDuringBackoffStaysDeterministic) {
   corpus::CorpusCase healing_case = corpus::GenerateCase(1, options);
 
   // Transient + every hit: the recovering run retries with backoff on the
-  // primary rung (both retries re-fault), then heals on the scalar-cube
-  // rung. trip_rate 1.0 keeps firing independent of how the two runs'
-  // shared hit counter interleaves.
+  // primary rung (both retries re-fault), then heals on the fresh-join
+  // rung, which bypasses the relation cache. trip_rate 1.0 keeps firing
+  // independent of how the two runs' shared hit counter interleaves.
   fi::FaultSpec spec;
   spec.code = StatusCode::kUnavailable;
-  spec.message = "transient vectorized scan";
-  fi::Arm("cube.scan.vectorized", spec);
+  spec.message = "transient relation cache acquire";
+  fi::Arm("relation.cache.acquire", spec);
 
   std::string baseline;
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {

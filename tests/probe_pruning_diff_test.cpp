@@ -2,9 +2,11 @@
 // probe_pruning on must be bit-identical (FleetVerdictFingerprint) to the
 // unpruned reference, with equal governor charge totals, across the
 // embedded article corpus, thread counts, budgets, and ingestion-mutated
-// databases. Also pins the probe_verify zero-conflict contract (an unsound
-// probe bound shows up here before it can ever flip a verdict) and the
-// stale-stats regression: a probe decision must never outlive the
+// databases. Probing runs on the string path only — the naive strategy
+// here — and only under an unlimited governor; the merged fingerprint path
+// never probes. Also pins the probe_verify zero-conflict contract (an
+// unsound probe bound shows up here before it can ever flip a verdict) and
+// the stale-stats regression: a probe decision must never outlive the
 // data-version bump that invalidates it.
 
 #include <gtest/gtest.h>
@@ -32,12 +34,15 @@ struct RunOutcome {
 };
 
 /// One Check with `pruning` on/off; the unpruned run adopts `catalog` so
-/// both sides translate over the identical fragment space.
+/// both sides translate over the identical fragment space. The naive
+/// strategy is the default because that is where probing runs.
 RunOutcome RunOnce(const db::Database* db, const text::TextDocument& doc,
                    bool pruning, size_t threads, uint64_t budget,
                    std::shared_ptr<const fragments::FragmentCatalog> catalog =
-                       nullptr) {
+                       nullptr,
+                   db::EvalStrategy strategy = db::EvalStrategy::kNaive) {
   core::CheckOptions options;
+  options.strategy = strategy;
   options.probe_pruning = pruning;
   options.model.num_threads = threads;
   options.governor.max_row_scans = budget;
@@ -66,7 +71,17 @@ void ExpectChargeParity(const core::CheckReport& pruned,
   // deterministic — one thread, or an un-tripped budget; a tripped
   // multi-thread run still asserts the exhaustion flag and everything
   // downstream of it (the fingerprint covers the verdicts).
-  if (threads == 1 || !reference.governor_usage.exhausted) {
+  // Pruning itself only runs under an unlimited governor, where it skips
+  // scans outright: there the pruned run charges at most what the
+  // reference does, and no budget exists whose exhaustion point could move.
+  if (pruned.probe_stats.candidates_pruned > 0) {
+    EXPECT_LE(pruned.governor_usage.rows_charged,
+              reference.governor_usage.rows_charged)
+        << where;
+    EXPECT_LE(pruned.governor_usage.memory_bytes_charged,
+              reference.governor_usage.memory_bytes_charged)
+        << where;
+  } else if (threads == 1 || !reference.governor_usage.exhausted) {
     EXPECT_EQ(pruned.governor_usage.rows_charged,
               reference.governor_usage.rows_charged)
         << where;
@@ -82,30 +97,49 @@ void ExpectChargeParity(const core::CheckReport& pruned,
       << where;
 }
 
-// The tentpole sweep: every embedded article, 1/2/8 threads, with and
-// without a row-scan budget. Pruned and unpruned verdicts bit-identical,
-// charge totals equal.
+// The sweep: every embedded article, 1/2/8 threads, with and without a
+// row-scan budget, on the naive and the merged+cached strategies. Pruned
+// and unpruned verdicts bit-identical, charge totals equal. Only the
+// unbudgeted naive runs probe.
 TEST(ProbePruningDiffTest, BitIdenticalAcrossCorpusThreadsAndBudgets) {
   auto articles = corpus::EmbeddedArticles();
   ASSERT_FALSE(articles.empty());
-  for (const corpus::CorpusCase& article : articles) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      for (uint64_t budget : {uint64_t{0}, uint64_t{20'000}}) {
-        RunOutcome pruned = RunOnce(&article.database, article.document,
-                                    /*pruning=*/true, threads, budget);
-        RunOutcome reference = RunOnce(&article.database, article.document,
-                                       /*pruning=*/false, threads, budget);
-        std::string where = article.name + " threads=" +
-                            std::to_string(threads) +
-                            " budget=" + std::to_string(budget);
-        EXPECT_EQ(pruned.fingerprint, reference.fingerprint) << where;
-        ExpectChargeParity(pruned.report, reference.report, where, threads);
-        EXPECT_EQ(pruned.report.NumPartial(), reference.report.NumPartial())
-            << where;
-        // The unpruned reference never probes; the pruned run always does
-        // (probing is cheap — pruning is opportunistic).
-        EXPECT_EQ(reference.report.probe_stats.candidates_probed, 0u);
-        EXPECT_GT(pruned.report.probe_stats.candidates_probed, 0u) << where;
+  for (db::EvalStrategy strategy :
+       {db::EvalStrategy::kNaive, db::EvalStrategy::kMergedCached}) {
+    for (const corpus::CorpusCase& article : articles) {
+      for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+        for (uint64_t budget : {uint64_t{0}, uint64_t{20'000}}) {
+          // A tripping budget makes the naive strategy's per-query skips
+          // timing-dependent at >1 thread, pruned or not; its budgeted
+          // arm runs serially.
+          if (strategy == db::EvalStrategy::kNaive && budget > 0 &&
+              threads > 1) {
+            continue;
+          }
+          RunOutcome pruned =
+              RunOnce(&article.database, article.document, /*pruning=*/true,
+                      threads, budget, nullptr, strategy);
+          RunOutcome reference =
+              RunOnce(&article.database, article.document, /*pruning=*/false,
+                      threads, budget, nullptr, strategy);
+          std::string where = article.name + " " +
+                              db::EvalStrategyName(strategy) + " threads=" +
+                              std::to_string(threads) +
+                              " budget=" + std::to_string(budget);
+          EXPECT_EQ(pruned.fingerprint, reference.fingerprint) << where;
+          ExpectChargeParity(pruned.report, reference.report, where,
+                             threads);
+          EXPECT_EQ(pruned.report.NumPartial(),
+                    reference.report.NumPartial())
+              << where;
+          // The unpruned reference never probes; the pruned run probes
+          // exactly where pruning is allowed to run.
+          EXPECT_EQ(reference.report.probe_stats.candidates_probed, 0u);
+          const bool probes =
+              strategy == db::EvalStrategy::kNaive && budget == 0;
+          EXPECT_EQ(pruned.report.probe_stats.candidates_probed > 0, probes)
+              << where;
+        }
       }
     }
   }
@@ -173,13 +207,12 @@ TEST(ProbePruningDiffTest, PrunesAndBackfillsHonestly) {
   size_t total_pruned = 0;
   for (const corpus::CorpusCase& article : articles) {
     core::CheckOptions options;
+    options.strategy = db::EvalStrategy::kNaive;
     auto checker = core::AggChecker::Create(&article.database, options);
     ASSERT_TRUE(checker.ok());
     auto report = checker->Check(article.document);
     ASSERT_TRUE(report.ok());
     total_pruned += report->probe_stats.candidates_pruned;
-    EXPECT_GE(report->probe_stats.candidates_pruned,
-              report->probe_stats.pruned_magnitude);
     for (const core::ClaimVerdict& v : report->verdicts) {
       for (const model::RankedCandidate& cand : v.top_queries) {
         if (!cand.result.has_value()) continue;
@@ -195,17 +228,19 @@ TEST(ProbePruningDiffTest, PrunesAndBackfillsHonestly) {
          "is dead code or the bench gate will fail";
 }
 
-// Stale-stats regression: a literal absent after an UpdateCell (the only
-// row holding it rewritten) must be domain-pruned, and a later append that
-// reintroduces values/extends bounds must invalidate that decision. Pruned
-// and unpruned runs stay bit-identical at every step of the mutation.
+// Stale-stats regression: after UpdateCell rewrites (which may orphan
+// catalog literals) and an append that moves the numeric bounds, the
+// magnitude probe must decide against the current ColumnStats, never the
+// pre-mutation ones. Pruned and unpruned runs stay bit-identical on the
+// mutated data.
 TEST(ProbePruningDiffTest, IngestionInvalidatesProbeDecisions) {
   corpus::CorpusCase article = corpus::MakeDonationsJoinCase();
+  core::CheckOptions naive;
+  naive.strategy = db::EvalStrategy::kNaive;
 
   // Stamp the fragment space before mutating: the catalog deliberately does
-  // not track ingestion, so literals it indexed can go stale in the data —
-  // exactly the situation the domain probe must handle soundly.
-  auto warm = core::AggChecker::Create(&article.database, {});
+  // not track ingestion, so literals it indexed can go stale in the data.
+  auto warm = core::AggChecker::Create(&article.database, naive);
   ASSERT_TRUE(warm.ok());
   auto baseline = warm->Check(article.document);
   ASSERT_TRUE(baseline.ok());
@@ -244,7 +279,9 @@ TEST(ProbePruningDiffTest, IngestionInvalidatesProbeDecisions) {
 // on the mutated data.
 TEST(ProbePruningDiffTest, ReCheckWithPruningMatchesUnprunedScratch) {
   corpus::CorpusCase article = corpus::MakeDonationsJoinCase();
-  auto warm = core::AggChecker::Create(&article.database, {});
+  core::CheckOptions naive;
+  naive.strategy = db::EvalStrategy::kNaive;
+  auto warm = core::AggChecker::Create(&article.database, naive);
   ASSERT_TRUE(warm.ok());
   auto prior = warm->Check(article.document);
   ASSERT_TRUE(prior.ok());
@@ -253,6 +290,7 @@ TEST(ProbePruningDiffTest, ReCheckWithPruningMatchesUnprunedScratch) {
       corpus::AppendSyntheticRows(&article.database, "gifts", 12).ok());
   auto recheck = warm->ReCheck(article.document, *prior);
   ASSERT_TRUE(recheck.ok());
+  EXPECT_GT(prior->probe_stats.candidates_probed, 0u);
 
   RunOutcome reference =
       RunOnce(&article.database, article.document, /*pruning=*/false, 1, 0,

@@ -1,6 +1,6 @@
 // Engine-level tests of the self-healing layer (DESIGN.md §13): same-rung
-// retries for transient faults, the fallback ladder for persistent faults
-// in optimized paths, quarantine when every rung fails, the fail-fast
+// retries for transient faults, the fresh-join rung for a poisoned relation
+// cache, quarantine for persistent faults no rung sheds, the fail-fast
 // behavior with recovery disabled, the governor-exhausted guard, and the
 // stall watchdog's deterministic core.
 
@@ -38,45 +38,6 @@ std::vector<db::SimpleAggregateQuery> NflQueries() {
   };
 }
 
-// A persistent fault in the vectorized cube scan must descend exactly one
-// rung (the scalar oracle is its bit-identical twin), heal every query, and
-// restore the engine's configuration afterwards.
-TEST(RecoveryTest, LadderHealsVectorizedCubeFault) {
-  fi::DisarmAll();
-  auto db = testing_fixtures::MakeNflDatabase();
-  auto queries = NflQueries();
-  db::EvalEngine reference(&db, db::EvalStrategy::kMergedCached);
-  const auto expected = reference.EvaluateBatch(queries);
-  ASSERT_TRUE(expected[0].has_value());
-
-  db::EvalEngine engine(&db, db::EvalStrategy::kMergedCached);
-  engine.SetRecovery(FastRecovery());
-  fi::Arm("cube.scan.vectorized");  // permanent kInternal, every hit
-  const auto results = engine.EvaluateBatch(queries);
-  fi::DisarmAll();
-
-  EXPECT_EQ(results, expected) << "recovered values must be the true values";
-  EXPECT_GE(engine.stats().ladder_descents, 1u);
-  EXPECT_EQ(engine.stats().queries_recovered, queries.size());
-  EXPECT_EQ(engine.stats().queries_quarantined, 0u);
-  EXPECT_EQ(engine.stats().recovery_retries, 0u)
-      << "a permanent fault must not burn same-rung retries";
-  EXPECT_TRUE(engine.ConsumeFailedQueries().empty());
-  EXPECT_TRUE(engine.ConsumeHardError().ok())
-      << "a fully healed batch must look fault-free to callers";
-  const auto records = engine.ConsumeRecoveryRecords();
-  ASSERT_EQ(records.size(), queries.size());
-  for (const auto& rec : records) {
-    EXPECT_TRUE(rec.recovered);
-    EXPECT_EQ(rec.rung, 1u) << db::EvalEngine::RecoveryRungName(rec.rung);
-    EXPECT_GT(rec.attempts, 1u);
-  }
-  // Configuration restored: the next batch runs the primary path again.
-  EXPECT_EQ(engine.cube_exec_mode(), db::CubeExecMode::kVectorized);
-  EXPECT_TRUE(engine.query_fingerprints());
-  EXPECT_NE(engine.relation_cache(), nullptr);
-}
-
 // A transient fault that fires once heals by same-rung retry: backoff is
 // taken, no ladder rung is engaged, and the record lands on rung 0.
 TEST(RecoveryTest, TransientFaultHealsOnPrimaryRung) {
@@ -108,33 +69,9 @@ TEST(RecoveryTest, TransientFaultHealsOnPrimaryRung) {
   }
 }
 
-// The string-keyed plan rung: a fault at the fingerprint planner fires on
-// rungs 0 and 1 (both still plan by fingerprint) and is shed at rung 2.
-TEST(RecoveryTest, LadderReachesStringPlanRung) {
-  fi::DisarmAll();
-  auto db = testing_fixtures::MakeNflDatabase();
-  auto queries = NflQueries();
-  db::EvalEngine reference(&db, db::EvalStrategy::kMergedCached);
-  const auto expected = reference.EvaluateBatch(queries);
-
-  db::EvalEngine engine(&db, db::EvalStrategy::kMergedCached);
-  engine.SetRecovery(FastRecovery());
-  fi::Arm("plan.fingerprint");
-  const auto results = engine.EvaluateBatch(queries);
-  fi::DisarmAll();
-
-  EXPECT_EQ(results, expected);
-  EXPECT_EQ(engine.stats().queries_recovered, queries.size());
-  for (const auto& rec : engine.ConsumeRecoveryRecords()) {
-    EXPECT_TRUE(rec.recovered);
-    EXPECT_EQ(rec.rung, 2u) << db::EvalEngine::RecoveryRungName(rec.rung);
-  }
-  EXPECT_TRUE(engine.query_fingerprints()) << "configuration restored";
-}
-
-// The fresh-join rung: a fault in the shared relation cache's acquire path
-// survives the cube and plan rungs (they still acquire through the cache)
-// and is shed only when the ladder drops to private, uncached joins.
+// The fresh-join rung: a persistent fault in the shared relation cache's
+// acquire path burns no same-rung retries and is shed when the ladder
+// drops to private, uncached joins; the configuration is restored after.
 TEST(RecoveryTest, LadderReachesFreshJoinRung) {
   fi::DisarmAll();
   auto db = testing_fixtures::MakeOrdersDatabase();
@@ -155,10 +92,48 @@ TEST(RecoveryTest, LadderReachesFreshJoinRung) {
 
   EXPECT_EQ(results, expected);
   EXPECT_EQ(engine.stats().queries_recovered, 1u);
+  EXPECT_EQ(engine.stats().ladder_descents, 1u);
+  EXPECT_EQ(engine.stats().recovery_retries, 0u)
+      << "a permanent fault must not burn same-rung retries";
+  EXPECT_TRUE(engine.ConsumeHardError().ok())
+      << "a fully healed batch must look fault-free to callers";
   for (const auto& rec : engine.ConsumeRecoveryRecords()) {
     EXPECT_TRUE(rec.recovered);
     EXPECT_EQ(rec.rung, 3u) << db::EvalEngine::RecoveryRungName(rec.rung);
   }
+  EXPECT_NE(engine.relation_cache(), nullptr) << "configuration restored";
+}
+
+// A persistent fault in code with no production twin — the vectorized cube
+// scan — is not routed around: the batch tries the fresh-join rung (which
+// still scans with the same kernel), then quarantines every query and
+// re-raises the primary error for attribution.
+TEST(RecoveryTest, VectorizedScanFaultQuarantines) {
+  fi::DisarmAll();
+  auto db = testing_fixtures::MakeNflDatabase();
+  auto queries = NflQueries();
+  db::EvalEngine engine(&db, db::EvalStrategy::kMergedCached);
+  engine.SetRecovery(FastRecovery());
+  fi::Arm("cube.scan.vectorized");  // permanent kInternal, every hit
+  const auto results = engine.EvaluateBatch(queries);
+  fi::DisarmAll();
+
+  for (const auto& r : results) EXPECT_FALSE(r.has_value());
+  EXPECT_EQ(engine.stats().ladder_descents, 1u);
+  EXPECT_EQ(engine.stats().recovery_retries, 0u);
+  EXPECT_EQ(engine.stats().queries_recovered, 0u);
+  EXPECT_EQ(engine.stats().queries_quarantined, queries.size());
+  EXPECT_EQ(engine.ConsumeFailedQueries().size(), queries.size());
+  const auto records = engine.ConsumeRecoveryRecords();
+  ASSERT_EQ(records.size(), queries.size());
+  for (const auto& rec : records) {
+    EXPECT_FALSE(rec.recovered);
+    EXPECT_EQ(rec.rung, db::EvalEngine::kFreshJoinRung);
+    EXPECT_EQ(rec.attempts, 2u) << "primary attempt plus the fresh-join run";
+  }
+  Status error = engine.ConsumeHardError();
+  ASSERT_FALSE(error.ok());
+  EXPECT_EQ(error.code(), StatusCode::kInternal);
   EXPECT_NE(engine.relation_cache(), nullptr) << "configuration restored";
 }
 
@@ -297,9 +272,11 @@ TEST(RecoveryTest, CleanBatchAfterRecoveryIsUntouched) {
 
   db::EvalEngine engine(&db, db::EvalStrategy::kMergedCached);
   engine.SetRecovery(FastRecovery());
-  fi::Arm("cube.scan.vectorized");
-  (void)engine.EvaluateBatch(queries);
+  db.relation_cache().Clear();
+  fi::Arm("relation.cache.acquire");  // healed on the fresh-join rung
+  EXPECT_EQ(engine.EvaluateBatch(queries), expected);
   fi::DisarmAll();
+  ASSERT_GT(engine.stats().queries_recovered, 0u);
   (void)engine.ConsumeRecoveryRecords();
   const size_t descents = engine.stats().ladder_descents;
 

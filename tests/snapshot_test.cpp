@@ -6,7 +6,6 @@
 // fail with a clean descriptive Status and degrade to a full rebuild.
 
 #include <gtest/gtest.h>
-#include <sys/stat.h>
 
 #include <cstdio>
 #include <cstring>
@@ -28,7 +27,14 @@
 namespace aggchecker {
 namespace {
 
-const char* kDir = "snapshot_test_dir";
+/// Each test writes into its own temporary directory, so tests running
+/// concurrently under `ctest -j` never read each other's (possibly
+/// deliberately corrupted) snapshot files.
+class SnapshotTest : public ::testing::Test {
+ protected:
+  testing_fixtures::ScopedTempDir tmp_{"snapshot_test"};
+  const std::string dir_ = tmp_.path();
+};
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -44,7 +50,7 @@ void WriteFile(const std::string& path, const std::string& bytes) {
 
 // Save -> load -> check: the loaded database, catalog, and interner image
 // reproduce the saving checker's verdicts byte for byte.
-TEST(SnapshotTest, RoundTripReproducesCheckerState) {
+TEST_F(SnapshotTest, RoundTripReproducesCheckerState) {
   auto articles = corpus::EmbeddedArticles();
   ASSERT_FALSE(articles.empty());
   const corpus::CorpusCase& article = articles.front();
@@ -54,8 +60,7 @@ TEST(SnapshotTest, RoundTripReproducesCheckerState) {
   auto fresh_report = fresh->Check(article.document);
   ASSERT_TRUE(fresh_report.ok());
 
-  ::mkdir(kDir, 0755);
-  const std::string path = std::string(kDir) + "/roundtrip.snap";
+  const std::string path = dir_ + "/roundtrip.snap";
   snapshot::SnapshotStats stats;
   ASSERT_TRUE(snapshot::WriteSnapshot(path, fresh->database(),
                                       &fresh->catalog(),
@@ -88,13 +93,12 @@ TEST(SnapshotTest, RoundTripReproducesCheckerState) {
 // to freshly built runs at 1/2/8 threads, with and without a governor
 // budget (a budget tight enough to cut claims partial must cut the same
 // claims either way — governed runs are part of the identity surface).
-TEST(SnapshotTest, DifferentialBitIdentityAcrossThreadsAndBudgets) {
+TEST_F(SnapshotTest, DifferentialBitIdentityAcrossThreadsAndBudgets) {
   auto corpus = corpus::EmbeddedArticles();
   ASSERT_FALSE(corpus.empty());
 
-  ::mkdir(kDir, 0755);
   corpus::SnapshotRunOptions save;
-  save.dir = kDir;
+  save.dir = dir_;
   save.save = true;
   corpus::SnapshotRunStats save_stats;
   auto saved =
@@ -103,7 +107,7 @@ TEST(SnapshotTest, DifferentialBitIdentityAcrossThreadsAndBudgets) {
   EXPECT_GT(save_stats.snapshot_bytes, 0u);
 
   corpus::SnapshotRunOptions load;
-  load.dir = kDir;
+  load.dir = dir_;
   load.load = true;
 
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
@@ -129,22 +133,21 @@ TEST(SnapshotTest, DifferentialBitIdentityAcrossThreadsAndBudgets) {
     }
   }
   for (const auto& test_case : corpus) {
-    std::remove(corpus::SnapshotPathForCase(kDir, test_case.name).c_str());
+    std::remove(corpus::SnapshotPathForCase(dir_, test_case.name).c_str());
   }
 }
 
 // The corruption ladder: every damaged variant fails LoadSnapshot with the
 // documented code and message, and the harness degrades each to a clean
 // full rebuild whose report matches the snapshot-free reference.
-TEST(SnapshotTest, CorruptionFallsBackToRebuild) {
+TEST_F(SnapshotTest, CorruptionFallsBackToRebuild) {
   auto articles = corpus::EmbeddedArticles();
   ASSERT_FALSE(articles.empty());
   std::vector<corpus::CorpusCase> one;
   one.push_back(std::move(articles.front()));
 
-  ::mkdir(kDir, 0755);
   corpus::SnapshotRunOptions save;
-  save.dir = kDir;
+  save.dir = dir_;
   save.save = true;
   corpus::SnapshotRunStats save_stats;
   auto reference =
@@ -154,7 +157,7 @@ TEST(SnapshotTest, CorruptionFallsBackToRebuild) {
   const std::string reference_fp =
       core::FleetVerdictFingerprint(reference.reports[0]);
 
-  const std::string path = corpus::SnapshotPathForCase(kDir, one[0].name);
+  const std::string path = corpus::SnapshotPathForCase(dir_, one[0].name);
   const std::string pristine = ReadFile(path);
   ASSERT_GT(pristine.size(), sizeof(snapshot::FileHeader));
 
@@ -188,7 +191,7 @@ TEST(SnapshotTest, CorruptionFallsBackToRebuild) {
         << variant.label << ": " << direct.status().ToString();
 
     corpus::SnapshotRunOptions load;
-    load.dir = kDir;
+    load.dir = dir_;
     load.load = true;
     corpus::SnapshotRunStats stats;
     auto run = corpus::RunOnCorpus(one, core::CheckOptions{}, load, &stats);
@@ -202,7 +205,7 @@ TEST(SnapshotTest, CorruptionFallsBackToRebuild) {
   // The pristine bytes restored, the snapshot loads again.
   WriteFile(path, pristine);
   corpus::SnapshotRunOptions load;
-  load.dir = kDir;
+  load.dir = dir_;
   load.load = true;
   corpus::SnapshotRunStats stats;
   auto run = corpus::RunOnCorpus(one, core::CheckOptions{}, load, &stats);
@@ -218,14 +221,13 @@ TEST(SnapshotTest, CorruptionFallsBackToRebuild) {
 // version-keyed caches exactly as on a built database, and a pre-version
 // format header (v1) is rejected with a clean Unsupported so callers
 // rebuild instead of misreading bytes.
-TEST(SnapshotTest, DataVersionsRoundTripAndInvalidateAfterLoad) {
+TEST_F(SnapshotTest, DataVersionsRoundTripAndInvalidateAfterLoad) {
   auto database = testing_fixtures::MakeOrdersDatabase();
   ASSERT_TRUE(corpus::AppendSyntheticRows(&database, "orders", 1).ok());
   ASSERT_EQ(database.TableVersion("orders"), 2u);
   ASSERT_EQ(database.TableVersion("customers"), 1u);
 
-  ::mkdir(kDir, 0755);
-  const std::string path = std::string(kDir) + "/versions.snap";
+  const std::string path = dir_ + "/versions.snap";
   ASSERT_TRUE(snapshot::WriteSnapshot(path, database, nullptr, nullptr).ok());
 
   auto loaded = snapshot::LoadSnapshot(path);
@@ -276,11 +278,10 @@ TEST(SnapshotTest, DataVersionsRoundTripAndInvalidateAfterLoad) {
 // must equal what a clean build computes, a v2 header (the pre-stats
 // layout) is rejected with Unsupported so callers rebuild instead of
 // misreading, and a corrupted stats record fails closed.
-TEST(SnapshotTest, ColumnStatsRideTheSnapshot) {
+TEST_F(SnapshotTest, ColumnStatsRideTheSnapshot) {
   auto database = testing_fixtures::MakeOrdersDatabase();
 
-  ::mkdir(kDir, 0755);
-  const std::string path = std::string(kDir) + "/stats.snap";
+  const std::string path = dir_ + "/stats.snap";
   ASSERT_TRUE(snapshot::WriteSnapshot(path, database, nullptr, nullptr).ok());
 
   auto loaded = snapshot::LoadSnapshot(path);

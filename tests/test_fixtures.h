@@ -1,10 +1,14 @@
 #pragma once
 
 // Shared fixtures for db-layer tests: a small single-table database modeled
-// on the paper's NFL-suspensions running example, and a two-table PK-FK
-// database for join tests.
+// on the paper's NFL-suspensions running example, a two-table PK-FK
+// database for join tests, and a per-test temporary directory.
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "db/database.h"
@@ -13,6 +17,37 @@
 
 namespace aggchecker {
 namespace testing_fixtures {
+
+/// \brief A fresh temporary directory owned by one test, removed on
+/// destruction.
+///
+/// gtest_discover_tests runs every TEST in its own process, so the pid in
+/// the name keeps concurrently running tests (`ctest -j`) from sharing
+/// on-disk state; `tag` keeps different test binaries apart.
+class ScopedTempDir {
+ public:
+  explicit ScopedTempDir(const std::string& tag)
+      : path_(std::filesystem::temp_directory_path() /
+              ("aggchecker_" + tag + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScopedTempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  std::string path() const { return path_.string(); }
+  /// Path of `name` inside the directory.
+  std::string file(const std::string& name) const {
+    return (path_ / name).string();
+  }
+
+ private:
+  std::filesystem::path path_;
+};
 
 /// CSV mirroring the paper's Figure 2(a) example: suspensions with games
 /// ("indef" for lifetime bans) and categories.
