@@ -70,10 +70,11 @@ CandidateSpace CandidateSpace::Build(
       cols.push_back(ScoredOption{hit.fragment_index, hit.score});
       seen[static_cast<size_t>(hit.fragment_index)] = true;
     }
-    std::sort(cols.begin(), cols.end(),
-              [](const ScoredOption& a, const ScoredOption& b) {
-                return a.norm_score > b.norm_score;
-              });
+    // Stable: equal scores keep retrieval order (DESIGN.md §18).
+    std::stable_sort(cols.begin(), cols.end(),
+                     [](const ScoredOption& a, const ScoredOption& b) {
+                       return a.norm_score > b.norm_score;
+                     });
     if (cols.size() > options.max_agg_columns) {
       cols.resize(options.max_agg_columns);
     }
@@ -161,10 +162,11 @@ CandidateSpace CandidateSpace::Build(
       }
       level_begin = level_end;
     }
-    std::sort(subsets.begin(), subsets.end(),
-              [](const PredicateSubset& a, const PredicateSubset& b) {
-                return a.norm_score > b.norm_score;
-              });
+    // Stable: equal scores keep generation order (DESIGN.md §18).
+    std::stable_sort(subsets.begin(), subsets.end(),
+                     [](const PredicateSubset& a, const PredicateSubset& b) {
+                       return a.norm_score > b.norm_score;
+                     });
     if (subsets.size() > options.max_pred_subsets) {
       subsets.resize(options.max_pred_subsets);
     }
@@ -208,6 +210,21 @@ CandidateSpace CandidateSpace::Build(
     }
   }
   return space;
+}
+
+size_t CandidateSpace::NumValid() const {
+  size_t empty_subsets = 0;
+  for (const PredicateSubset& s : subsets_) {
+    if (s.frags.empty()) ++empty_subsets;
+  }
+  size_t valid = 0;
+  for (size_t f = 0; f < functions_.size(); ++f) {
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      if (!compat_[f * columns_.size() + c]) continue;
+      valid += subsets_.size() - (fn_needs_predicate_[f] ? empty_subsets : 0);
+    }
+  }
+  return valid;
 }
 
 bool CandidateSpace::Valid(size_t f, size_t c, size_t s) const {

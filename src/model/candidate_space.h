@@ -46,6 +46,9 @@ class CandidateSpace {
   /// condition predicate).
   bool Valid(size_t f, size_t c, size_t s) const;
 
+  /// Number of valid candidate triples.
+  size_t NumValid() const;
+
   /// Keyword likelihood Pr(S_c | Q_c) of candidate (f, c, s).
   double KeywordScore(size_t f, size_t c, size_t s) const {
     return functions_[f].norm_score * columns_[c].norm_score *

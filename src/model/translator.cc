@@ -4,6 +4,7 @@
 #include <set>
 #include <unordered_map>
 
+#include "model/candidate_selection.h"
 #include "model/probe.h"
 #include "model/scope.h"
 #include "util/fault_injection.h"
@@ -16,12 +17,6 @@ namespace model {
 
 namespace {
 
-/// Compact candidate address within a claim's CandidateSpace.
-uint64_t TripleKey(size_t f, size_t c, size_t s) {
-  return (static_cast<uint64_t>(f) << 40) | (static_cast<uint64_t>(c) << 20) |
-         static_cast<uint64_t>(s);
-}
-
 struct EvalOutcome {
   std::optional<double> result;
   bool matches = false;
@@ -30,127 +25,6 @@ struct EvalOutcome {
   /// computed (the top-k backfill fills it for reports).
   bool probe_decided = false;
 };
-
-struct ScoredTriple {
-  double score;
-  size_t f, c, s;
-};
-
-/// Per-iteration prior factors for one claim's candidate space.
-struct PriorFactors {
-  std::vector<double> fn;      // per considered function
-  std::vector<double> col;     // per considered column
-  std::vector<double> subset;  // per predicate subset
-
-  double of(size_t f, size_t c, size_t s) const {
-    return fn[f] * col[c] * subset[s];
-  }
-};
-
-PriorFactors ComputePriorFactors(const CandidateSpace& space,
-                                 const Priors& priors,
-                                 const fragments::FragmentCatalog& catalog) {
-  PriorFactors factors;
-  factors.fn.reserve(space.functions().size());
-  for (const auto& f : space.functions()) {
-    factors.fn.push_back(priors.fn_prior(
-        catalog.fragment(fragments::FragmentType::kAggFunction, f.frag).fn));
-  }
-  factors.col.reserve(space.columns().size());
-  for (const auto& c : space.columns()) {
-    factors.col.push_back(priors.agg_col_prior(c.frag));
-  }
-  // Full Bernoulli restriction prior: restricted columns contribute pri,
-  // unrestricted ones (1 - pri). The paper's formula drops the (1 - pri)
-  // factors; at our smaller evaluation budget that simplification
-  // systematically favors predicate-free candidates, so we keep the
-  // complete likelihood (equivalent up to the per-claim constant
-  // prod_i (1 - pri) divided out, which the simplified form ignores only
-  // when comparing candidates with equal predicate sets).
-  double all_unrestricted = 1.0;
-  const size_t num_restrict = priors.num_restrict_components();
-  for (size_t col = 0; col < num_restrict; ++col) {
-    all_unrestricted *= 1.0 - priors.restrict_prior(static_cast<int>(col));
-  }
-  factors.subset.reserve(space.subsets().size());
-  for (const auto& s : space.subsets()) {
-    double p = all_unrestricted;
-    for (int col : s.restrict_cols) {
-      if (col < 0) continue;
-      double pri = priors.restrict_prior(col);
-      double complement = 1.0 - pri;
-      if (complement < 1e-6) complement = 1e-6;
-      p *= pri / complement;
-    }
-    factors.subset.push_back(p);
-  }
-  return factors;
-}
-
-/// Top-N valid triples by score (keyword likelihood times prior factor).
-///
-/// With priors enabled, the evaluation scope hedges: half the budget goes
-/// to the prior-weighted ranking and half to the keyword-only ranking.
-/// PickScope (§6.1) can afford tens of thousands of evaluations per claim;
-/// at our smaller budget a pure prior-weighted scope can evict the true
-/// query before the priors have converged, so both rankings contribute.
-std::vector<ScoredTriple> SelectTop(const CandidateSpace& space,
-                                    const PriorFactors& factors,
-                                    bool use_priors, size_t top_n) {
-  std::vector<ScoredTriple> triples;
-  const size_t nf = space.functions().size();
-  const size_t nc = space.columns().size();
-  const size_t ns = space.subsets().size();
-  triples.reserve(nf * nc * ns / 2);
-  for (size_t f = 0; f < nf; ++f) {
-    for (size_t c = 0; c < nc; ++c) {
-      for (size_t s = 0; s < ns; ++s) {
-        if (!space.Valid(f, c, s)) continue;
-        double score = space.KeywordScore(f, c, s);
-        if (use_priors) score *= factors.of(f, c, s);
-        triples.push_back(ScoredTriple{score, f, c, s});
-      }
-    }
-  }
-  auto by_score_desc = [](const ScoredTriple& a, const ScoredTriple& b) {
-    return a.score > b.score;
-  };
-  if (use_priors && triples.size() > top_n) {
-    // Keyword-only ranking of the same triples, keeping the top half.
-    std::vector<ScoredTriple> by_keyword = triples;
-    for (auto& t : by_keyword) t.score = space.KeywordScore(t.f, t.c, t.s);
-    size_t half = std::max<size_t>(top_n / 2, 1);
-    if (by_keyword.size() > half) {
-      std::nth_element(by_keyword.begin(), by_keyword.begin() + half - 1,
-                       by_keyword.end(), by_score_desc);
-      by_keyword.resize(half);
-    }
-
-    std::nth_element(triples.begin(), triples.begin() + top_n - 1,
-                     triples.end(), by_score_desc);
-    triples.resize(top_n);
-    // Union the two scopes (slight budget overrun is fine); keyword-only
-    // entries carry their combined score for posterior ranking.
-    std::set<uint64_t> present;
-    for (const auto& t : triples) present.insert(TripleKey(t.f, t.c, t.s));
-    for (const auto& t : by_keyword) {
-      if (!present.insert(TripleKey(t.f, t.c, t.s)).second) continue;
-      ScoredTriple extra = t;
-      extra.score =
-          space.KeywordScore(t.f, t.c, t.s) * factors.of(t.f, t.c, t.s);
-      triples.push_back(extra);
-    }
-    std::sort(triples.begin(), triples.end(), by_score_desc);
-    return triples;
-  }
-  if (triples.size() > top_n) {
-    std::nth_element(triples.begin(), triples.begin() + top_n - 1,
-                     triples.end(), by_score_desc);
-    triples.resize(top_n);
-  }
-  std::sort(triples.begin(), triples.end(), by_score_desc);
-  return triples;
-}
 
 /// Dependency table set of one claim (TranslationResult::dependency_tables):
 /// the union of tables referenced by the claim's candidate fragments (agg
@@ -351,6 +225,7 @@ TranslationResult Translator::Translate(
   // Evaluation outcomes per claim, keyed by candidate triple.
   std::vector<std::unordered_map<uint64_t, EvalOutcome>> outcomes(n);
   std::vector<std::vector<ScoredTriple>> selections(n);
+  std::vector<std::optional<CandidateSelector>> selectors(n);
 
   // Fingerprint path: candidates ship to the engine as interned query ids,
   // encoded through per-claim memo tables that persist across iterations.
@@ -427,10 +302,12 @@ TranslationResult Translator::Translate(
         selections[i].clear();  // fixed translation, nothing to explore
         return;
       }
-      PriorFactors factors =
-          ComputePriorFactors(*spaces[i], priors, *catalog_);
-      selections[i] = SelectTop(*spaces[i], factors, options_.use_priors,
-                                scope.eval_per_claim);
+      if (!selectors[i].has_value()) {
+        selectors[i].emplace(*spaces[i], options_.use_priors,
+                             scope.eval_per_claim);
+      }
+      selections[i] = selectors[i]->Select(
+          PriorFactors::Compute(*spaces[i], priors, *catalog_));
     });
 
     // RefineByEval: evaluate all newly selected candidates in one batch so
@@ -592,7 +469,7 @@ TranslationResult Translator::Translate(
       dist.ranked.push_back(std::move(cand));
       return;
     }
-    PriorFactors factors = ComputePriorFactors(*spaces[i], priors, *catalog_);
+    PriorFactors factors = PriorFactors::Compute(*spaces[i], priors, *catalog_);
     double total = 0;
     for (const ScoredTriple& t : selections[i]) {
       const EvalOutcome& o = outcomes[i].at(TripleKey(t.f, t.c, t.s));
