@@ -1,6 +1,7 @@
 // Micro-benchmarks of the translation pipeline (google-benchmark):
 // inverted-index retrieval, keyword extraction, candidate-space
-// construction, and one end-to-end document check.
+// construction, per-claim candidate selection, and one end-to-end document
+// check.
 
 #include <benchmark/benchmark.h>
 
@@ -8,7 +9,9 @@
 #include "claims/relevance_scorer.h"
 #include "core/aggchecker.h"
 #include "corpus/embedded_articles.h"
+#include "model/candidate_selection.h"
 #include "model/candidate_space.h"
+#include "model/priors.h"
 
 namespace aggchecker {
 namespace {
@@ -74,6 +77,34 @@ void BM_CandidateSpaceBuild(benchmark::State& state) {
                           static_cast<int64_t>(f.relevance.size()));
 }
 BENCHMARK(BM_CandidateSpaceBuild);
+
+// PickScope's selection for every claim of the document at the default
+// budget (160 per claim), under uniform priors: a fresh selector and two
+// Select calls, the first EM iteration and a later one.
+void BM_CandidateSelection(benchmark::State& state) {
+  auto& f = Fixture();
+  model::ModelOptions options;
+  std::vector<model::CandidateSpace> spaces;
+  std::vector<model::PriorFactors> factors;
+  const model::Priors priors = model::Priors::Uniform(*f.catalog);
+  for (const auto& rel : f.relevance) {
+    spaces.push_back(model::CandidateSpace::Build(f.test_case.database,
+                                                  *f.catalog, rel, options));
+    factors.push_back(
+        model::PriorFactors::Compute(spaces.back(), priors, *f.catalog));
+  }
+  for (auto _ : state) {
+    for (size_t i = 0; i < spaces.size(); ++i) {
+      model::CandidateSelector selector(spaces[i], options.use_priors,
+                                        options.max_eval_per_claim);
+      benchmark::DoNotOptimize(selector.Select(factors[i]));
+      benchmark::DoNotOptimize(selector.Select(factors[i]));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(spaces.size()));
+}
+BENCHMARK(BM_CandidateSelection);
 
 void BM_CatalogBuild(benchmark::State& state) {
   auto& f = Fixture();

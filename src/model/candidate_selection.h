@@ -76,7 +76,10 @@ class CandidateSelector {
  public:
   CandidateSelector(const CandidateSpace& space, bool use_priors,
                     size_t top_n)
-      : space_(&space), use_priors_(use_priors), top_n_(top_n) {}
+      : space_(&space),
+        use_priors_(use_priors),
+        top_n_(top_n),
+        num_valid_(space.NumValid()) {}
 
   /// The selection under this iteration's prior factors (ignored when
   /// priors are off).
@@ -86,6 +89,10 @@ class CandidateSelector {
   const CandidateSpace* space_;
   bool use_priors_;
   size_t top_n_;
+  size_t num_valid_;
+  /// The keyword-only top half: a function of the space alone, computed on
+  /// first use and kept for later iterations.
+  std::vector<ScoredTriple> keyword_top_;
 };
 
 }  // namespace model

@@ -1,6 +1,7 @@
 #include "model/candidate_space.h"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <string>
 
@@ -39,6 +40,77 @@ void Normalize(std::vector<ScoredOption>* options, double smoothing) {
 }
 
 }  // namespace
+
+std::vector<PredicateSubset> TopPredicateSubsets(
+    const fragments::FragmentCatalog& catalog,
+    const std::vector<ScoredOption>& preds, int max_predicates,
+    size_t max_subsets) {
+  // Each retrieved predicate's catalog column, resolved once.
+  std::vector<int> cols;
+  cols.reserve(preds.size());
+  for (const ScoredOption& p : preds) {
+    cols.push_back(catalog.PredicateColumnIndex(
+        catalog.fragment(FragmentType::kPredicate, p.frag).column));
+  }
+
+  // Generation: breadth-first by size from the empty subset (record 0);
+  // each subset extends only with later positions, one predicate per
+  // column. A record is (parent record, last position, score), so the
+  // generation index of a subset is its record index.
+  struct Record {
+    int parent;
+    int pos;
+    double score;
+  };
+  std::vector<Record> records{Record{-1, -1, 1.0}};
+  size_t level_begin = 0;
+  for (int size = 1; size <= max_predicates; ++size) {
+    const size_t level_end = records.size();
+    for (size_t r = level_begin; r < level_end; ++r) {
+      const Record parent = records[r];
+      for (size_t p = static_cast<size_t>(parent.pos + 1); p < preds.size();
+           ++p) {
+        bool clash = false;
+        for (int a = static_cast<int>(r); a > 0; a = records[a].parent) {
+          clash |= cols[static_cast<size_t>(records[a].pos)] == cols[p];
+        }
+        if (clash) continue;
+        records.push_back(Record{static_cast<int>(r), static_cast<int>(p),
+                                 parent.score * preds[p].norm_score});
+      }
+    }
+    level_begin = level_end;
+  }
+
+  // Keep the top max_subsets by score descending, then generation index
+  // ascending (DESIGN.md §18), and materialize only those.
+  std::vector<int> kept(records.size());
+  std::iota(kept.begin(), kept.end(), 0);
+  auto before = [&](int x, int y) {
+    if (records[x].score != records[y].score) {
+      return records[x].score > records[y].score;
+    }
+    return x < y;
+  };
+  if (kept.size() > max_subsets) {
+    std::nth_element(kept.begin(), kept.begin() + max_subsets, kept.end(),
+                     before);
+    kept.resize(max_subsets);
+  }
+  std::sort(kept.begin(), kept.end(), before);
+  std::vector<PredicateSubset> subsets(kept.size());
+  for (size_t i = 0; i < kept.size(); ++i) {
+    PredicateSubset& subset = subsets[i];
+    subset.norm_score = records[kept[i]].score;
+    for (int a = kept[i]; a > 0; a = records[a].parent) {
+      subset.frags.push_back(preds[records[a].pos].frag);
+      subset.restrict_cols.push_back(cols[records[a].pos]);
+    }
+    std::reverse(subset.frags.begin(), subset.frags.end());
+    std::reverse(subset.restrict_cols.begin(), subset.restrict_cols.end());
+  }
+  return subsets;
+}
 
 CandidateSpace CandidateSpace::Build(
     const db::Database& db, const fragments::FragmentCatalog& catalog,
@@ -124,53 +196,9 @@ CandidateSpace CandidateSpace::Build(
     }
     Normalize(&preds, options.score_smoothing);
 
-    std::vector<PredicateSubset> subsets;
-    subsets.push_back(PredicateSubset{});  // the empty subset, score 1
-
-    // Grow subsets breadth-first by size; predicates are ordered, and each
-    // subset only extends with higher-indexed fragments to avoid dupes.
-    size_t level_begin = 0;
-    for (int size = 1; size <= options.max_predicates; ++size) {
-      size_t level_end = subsets.size();
-      for (size_t s = level_begin; s < level_end; ++s) {
-        size_t start_pos = 0;
-        if (!subsets[s].frags.empty()) {
-          // Find the position of the last fragment in `preds`.
-          int last_frag = subsets[s].frags.back();
-          for (size_t p = 0; p < preds.size(); ++p) {
-            if (preds[p].frag == last_frag) {
-              start_pos = p + 1;
-              break;
-            }
-          }
-        }
-        for (size_t p = start_pos; p < preds.size(); ++p) {
-          const auto& frag =
-              catalog.fragment(FragmentType::kPredicate, preds[p].frag);
-          int col_idx = catalog.PredicateColumnIndex(frag.column);
-          if (std::find(subsets[s].restrict_cols.begin(),
-                        subsets[s].restrict_cols.end(),
-                        col_idx) != subsets[s].restrict_cols.end()) {
-            continue;  // one predicate per column
-          }
-          PredicateSubset next = subsets[s];
-          next.frags.push_back(preds[p].frag);
-          next.restrict_cols.push_back(col_idx);
-          next.norm_score *= preds[p].norm_score;
-          subsets.push_back(std::move(next));
-        }
-      }
-      level_begin = level_end;
-    }
-    // Stable: equal scores keep generation order (DESIGN.md §18).
-    std::stable_sort(subsets.begin(), subsets.end(),
-                     [](const PredicateSubset& a, const PredicateSubset& b) {
-                       return a.norm_score > b.norm_score;
-                     });
-    if (subsets.size() > options.max_pred_subsets) {
-      subsets.resize(options.max_pred_subsets);
-    }
-    space.subsets_ = std::move(subsets);
+    space.subsets_ = TopPredicateSubsets(catalog, preds,
+                                         options.max_predicates,
+                                         options.max_pred_subsets);
   }
 
   // --- Compatibility matrix. ---
@@ -225,12 +253,6 @@ size_t CandidateSpace::NumValid() const {
     }
   }
   return valid;
-}
-
-bool CandidateSpace::Valid(size_t f, size_t c, size_t s) const {
-  if (!compat_[f * columns_.size() + c]) return false;
-  if (fn_needs_predicate_[f] && subsets_[s].frags.empty()) return false;
-  return true;
 }
 
 db::SimpleAggregateQuery CandidateSpace::Materialize(

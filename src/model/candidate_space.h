@@ -25,6 +25,19 @@ struct PredicateSubset {
   double norm_score = 1.0;         ///< product of normalized pred scores
 };
 
+/// \brief The predicate subsets of a claim's space: every subset of
+/// `preds` (the claim's retrieved predicate fragments, distinct, with
+/// normalized scores) with at most `max_predicates` members on pairwise
+/// distinct catalog predicate columns, scored by the product of its
+/// members' scores. Returns the top `max_subsets` by score descending, then
+/// generation order ascending; generation runs breadth-first by size from
+/// the empty subset (score 1), each subset extending only with later
+/// positions of `preds`. Members are listed in `preds` order.
+std::vector<PredicateSubset> TopPredicateSubsets(
+    const fragments::FragmentCatalog& catalog,
+    const std::vector<ScoredOption>& preds, int max_predicates,
+    size_t max_subsets);
+
 /// \brief The candidate-query space of one claim (§4.4): the cross product
 /// of considered aggregation functions, aggregation columns, and predicate
 /// subsets. Candidates are addressed by (function, column, subset) position
@@ -44,7 +57,15 @@ class CandidateSpace {
   /// False for invalid pairings (numeric aggregate over a text column,
   /// "*" with a non-count function, ConditionalProbability without a
   /// condition predicate).
-  bool Valid(size_t f, size_t c, size_t s) const;
+  bool Valid(size_t f, size_t c, size_t s) const {
+    return Compatible(f, c) &&
+           !(fn_needs_predicate_[f] && subsets_[s].frags.empty());
+  }
+
+  /// True when function f may aggregate column c (under some subset).
+  bool Compatible(size_t f, size_t c) const {
+    return compat_[f * columns_.size() + c];
+  }
 
   /// Number of valid candidate triples.
   size_t NumValid() const;

@@ -44,12 +44,19 @@ std::vector<std::string> DependencyTables(
       tables.insert(strings::ToLower(frag.column.table));
     }
   }
+  // Each distinct predicate fragment once (a fragment sits in many
+  // subsets).
+  std::vector<int> pred_frags;
   for (const PredicateSubset& s : space.subsets()) {
-    for (int f : s.frags) {
-      const auto& frag = catalog.fragment(FragmentType::kPredicate, f);
-      if (!frag.column.table.empty()) {
-        tables.insert(strings::ToLower(frag.column.table));
-      }
+    pred_frags.insert(pred_frags.end(), s.frags.begin(), s.frags.end());
+  }
+  std::sort(pred_frags.begin(), pred_frags.end());
+  pred_frags.erase(std::unique(pred_frags.begin(), pred_frags.end()),
+                   pred_frags.end());
+  for (int f : pred_frags) {
+    const auto& frag = catalog.fragment(FragmentType::kPredicate, f);
+    if (!frag.column.table.empty()) {
+      tables.insert(strings::ToLower(frag.column.table));
     }
   }
   for (const std::string& t : extra) tables.insert(strings::ToLower(t));
