@@ -270,7 +270,10 @@ std::vector<std::optional<double>> EvalEngine::EvaluateNaive(
   std::vector<std::optional<double>> results(n);
 
   // Execute phase: each query scans independently into its own slot; with
-  // one thread this runs inline in index order (today's exact path).
+  // one thread this runs inline in index order (today's exact path). Under
+  // a governor with finite limits the scans also run serially in index
+  // order: a query is skipped once the budget is spent, and which queries
+  // that hits must not depend on how workers interleave.
   struct Slot {
     std::optional<double> value;
     Status status = Status::OK();
@@ -279,7 +282,7 @@ std::vector<std::optional<double>> EvalEngine::EvaluateNaive(
   };
   std::vector<Slot> slots(n);
   Timer execute_timer;
-  RunIndexed(n, [&](size_t i) {
+  auto execute = [&](size_t i) {
     Slot& slot = slots[i];
     if (governor_ != nullptr && governor_->exhausted()) {
       slot.skipped = true;  // budget spent before this query started
@@ -292,7 +295,12 @@ std::vector<std::optional<double>> EvalEngine::EvaluateNaive(
     } else {
       slot.status = r.status();
     }
-  });
+  };
+  if (governor_ != nullptr && !governor_->limits().unlimited()) {
+    for (size_t i = 0; i < n; ++i) execute(i);
+  } else {
+    RunIndexed(n, execute);
+  }
   stats_.execute_seconds += execute_timer.ElapsedSeconds();
 
   // Fold phase (serial, index order): counters and the hard-error channel

@@ -117,6 +117,40 @@ TEST(ParallelDeterminismTest, EmbeddedCorpusIdenticalAcrossThreadCounts) {
   }
 }
 
+// A row budget that trips mid-batch on the naive strategy: which queries
+// run before the budget is spent must not depend on worker timing, so the
+// verdicts, partial flags and charge totals are identical at any thread
+// count.
+TEST(ParallelDeterminismTest, NaiveUnderTrippingBudgetIdenticalAcrossThreads) {
+  fi::DisarmAll();
+  size_t tripped = 0;
+  for (const auto& test_case : corpus::EmbeddedArticles()) {
+    for (uint64_t budget : {uint64_t{5'000}, uint64_t{20'000}}) {
+      auto run = [&](size_t threads) {
+        core::CheckOptions options = ThreadedOptions(threads);
+        options.strategy = db::EvalStrategy::kNaive;
+        options.governor.max_row_scans = budget;
+        auto checker = core::AggChecker::Create(&test_case.database, options);
+        EXPECT_TRUE(checker.ok()) << checker.status().ToString();
+        auto report = checker->Check(test_case.document);
+        EXPECT_TRUE(report.ok()) << report.status().ToString();
+        return std::move(*report);
+      };
+      const core::CheckReport serial = run(1);
+      if (serial.governor_usage.exhausted) ++tripped;
+      for (size_t threads : {size_t{2}, size_t{8}}) {
+        const core::CheckReport threaded = run(threads);
+        const std::string where = test_case.name + " budget " +
+                                  std::to_string(budget) + " threads " +
+                                  std::to_string(threads);
+        EXPECT_EQ(Fingerprint(threaded), Fingerprint(serial)) << where;
+        EXPECT_EQ(threaded.NumPartial(), serial.NumPartial()) << where;
+      }
+    }
+  }
+  EXPECT_GT(tripped, 0u) << "no budget tripped; the test checks nothing";
+}
+
 // Generated cases vary schemas/joins beyond the embedded articles; also
 // pins that governor *totals* (not just verdicts) are thread-invariant
 // when no limit trips.

@@ -109,13 +109,6 @@ TEST(ProbePruningDiffTest, BitIdenticalAcrossCorpusThreadsAndBudgets) {
     for (const corpus::CorpusCase& article : articles) {
       for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
         for (uint64_t budget : {uint64_t{0}, uint64_t{20'000}}) {
-          // A tripping budget makes the naive strategy's per-query skips
-          // timing-dependent at >1 thread, pruned or not; its budgeted
-          // arm runs serially.
-          if (strategy == db::EvalStrategy::kNaive && budget > 0 &&
-              threads > 1) {
-            continue;
-          }
           RunOutcome pruned =
               RunOnce(&article.database, article.document, /*pruning=*/true,
                       threads, budget, nullptr, strategy);
