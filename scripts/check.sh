@@ -59,8 +59,8 @@
 # generated corpus are checked with probe pruning on and off on the naive
 # rung of the Table 6 strategy ladder (the only rung that probes), and the
 # run fails unless probes prune at least 30% of candidates, the rung is at
-# least x1.3 faster with pruning on, and pruned reports are bit-identical
-# to unpruned ones on every case.
+# least x1.3 faster with pruning on (each arm timed best-of-3), and pruned
+# reports are bit-identical to unpruned ones on every case.
 #
 # The flake step builds the Release preset and reruns the snapshot, chaos,
 # recovery, and probe-pruning suites under `ctest -j4 --repeat
