@@ -27,13 +27,15 @@ struct ScoredTriple {
 /// The pinned total order of every candidate ranking (DESIGN.md §18): score
 /// descending, then (f, c, s) ascending. Equal scores are common (smoothed
 /// scores of fragments without keyword support tie), so the tie-break is
-/// what makes a selection a function of the space alone.
-inline bool RanksBefore(const ScoredTriple& a, const ScoredTriple& b) {
+/// what makes a selection a function of the space alone. A function object,
+/// so the sorts that take it inline the comparison.
+inline constexpr auto RanksBefore = [](const ScoredTriple& a,
+                                       const ScoredTriple& b) {
   if (a.score != b.score) return a.score > b.score;
   if (a.f != b.f) return a.f < b.f;
   if (a.c != b.c) return a.c < b.c;
   return a.s < b.s;
-}
+};
 
 /// \brief Per-iteration prior factors for one claim's candidate space: the
 /// prior Pr(Q_c) of candidate (f, c, s) is of(f, c, s).

@@ -232,7 +232,6 @@ TranslationResult Translator::Translate(
   // Evaluation outcomes per claim, keyed by candidate triple.
   std::vector<std::unordered_map<uint64_t, EvalOutcome>> outcomes(n);
   std::vector<std::vector<ScoredTriple>> selections(n);
-  std::vector<std::optional<CandidateSelector>> selectors(n);
 
   // Fingerprint path: candidates ship to the engine as interned query ids,
   // encoded through per-claim memo tables that persist across iterations.
@@ -287,6 +286,12 @@ TranslationResult Translator::Translate(
       options_.scope_num_claims > 0 ? options_.scope_num_claims : n;
   const ScopeBudget scope = PickScope(*db_, scope_claims, options_);
   const int max_iters = options_.use_priors ? options_.max_em_iterations : 1;
+  std::vector<CandidateSelector> selectors;
+  selectors.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    selectors.emplace_back(*spaces[i], options_.use_priors,
+                           scope.eval_per_claim);
+  }
 
   for (int iter = 0; iter < max_iters; ++iter) {
     Status injected;
@@ -309,11 +314,7 @@ TranslationResult Translator::Translate(
         selections[i].clear();  // fixed translation, nothing to explore
         return;
       }
-      if (!selectors[i].has_value()) {
-        selectors[i].emplace(*spaces[i], options_.use_priors,
-                             scope.eval_per_claim);
-      }
-      selections[i] = selectors[i]->Select(
+      selections[i] = selectors[i].Select(
           PriorFactors::Compute(*spaces[i], priors, *catalog_));
     });
 
