@@ -138,10 +138,10 @@ std::vector<ScoredTriple> TopTriples(const CandidateSpace& space,
   // everything) when fewer exist or the bound's premise fails.
   double threshold = 0;
   if (InNormalRange(axes)) {
-    struct Head {
-      double bound;
+    struct Head {  // a pair's next valid subset, by per-axis product
+      double product;
       size_t pair, j;
-      bool operator<(const Head& o) const { return bound < o.bound; }
+      bool operator<(const Head& o) const { return product < o.product; }
     };
     std::priority_queue<Head> frontier;
     for (size_t p = 0; p < pairs.size(); ++p) {
