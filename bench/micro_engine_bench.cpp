@@ -167,17 +167,15 @@ void BM_CachedRepeatBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_CachedRepeatBatch);
 
-// --- Plan-phase micro benches: string keys vs interned fingerprints ----
+// --- Plan-phase micro bench over interned ids --------------------------
 //
 // Steady-state EM iterations re-plan near-identical candidate batches
-// every round; these twins isolate that plan phase. The result cache is
+// every round; this bench isolates that plan phase. The result cache is
 // warmed once so the execute phase collapses to cache hits, leaving the
-// per-query planning work. The String twin re-derives per-query grouping
-// keys (relation + dim-set strings) each round via EvaluateBatch; the
-// Fingerprint twin ships pre-encoded interner ids — as the translator
-// does after its first iteration — and hits the (relation, dim-set) plan
-// cache, so per-query work shrinks to integer lookups. Their ratio is
-// the plan-phase speedup of PR 5, swept over batch size.
+// per-query planning work. Batches ship pre-encoded interner ids — as the
+// translator does after its first iteration — and hit the (relation,
+// dim-set) plan cache, so per-query work is integer lookups. Swept over
+// batch size.
 const db::Database& PlanBenchDatabase() {
   static const db::Database* kDb = [] {
     auto* db = new db::Database("plan-bench");
@@ -212,28 +210,10 @@ std::vector<db::SimpleAggregateQuery> MakePlanBatch(int64_t n) {
   return batch;
 }
 
-void BM_PlanPhaseString(benchmark::State& state) {
-  const auto& db = PlanBenchDatabase();
-  auto batch = MakePlanBatch(state.range(0));
-  db::EvalEngine engine(&db, db::EvalStrategy::kMergedCached);
-  engine.SetQueryFingerprints(false);
-  (void)engine.EvaluateBatch(batch);  // warm the result cache
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.EvaluateBatch(batch));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_PlanPhaseString)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(50000)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_PlanPhaseFingerprint(benchmark::State& state) {
   const auto& db = PlanBenchDatabase();
   auto batch = MakePlanBatch(state.range(0));
   db::EvalEngine engine(&db, db::EvalStrategy::kMergedCached);
-  engine.SetQueryFingerprints(true);
   std::vector<db::QueryInterner::Id> ids;
   ids.reserve(batch.size());
   for (const auto& q : batch) {

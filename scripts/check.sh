@@ -74,8 +74,8 @@
 # pay for itself), (c) on machines with >= 2 hardware threads, 2-thread
 # merged evaluation is slower than 1-thread, or (d) a multi-iteration EM
 # run fails to reuse cube plans: plan_cache_hits must be > 0, a repeated
-# Check must build zero new plans, and the fingerprint path must produce
-# the same verdicts as the string-keyed reference path. Every gate also
+# Check must build zero new plans, and the merged+cached run must produce
+# the same verdicts as the naive strategy. Every gate also
 # requires bit-identical results between the compared configurations.
 set -euo pipefail
 

@@ -44,6 +44,11 @@ Result<AggChecker> AggChecker::Create(const db::Database* db,
   if (db == nullptr || db->num_tables() == 0) {
     return Status::InvalidArgument("AggChecker needs a non-empty database");
   }
+  if (!options.query_fingerprints) {
+    return Status::InvalidArgument(
+        "query_fingerprints = false is no longer supported: the interned-id "
+        "planner is the only merged evaluation path");
+  }
   AggChecker checker(db, std::move(options));
   if (checker.options_.prebuilt_catalog != nullptr) {
     // Snapshot path: adopt the restored catalog instead of re-generating
@@ -58,7 +63,6 @@ Result<AggChecker> AggChecker::Create(const db::Database* db,
   }
   checker.engine_ =
       std::make_shared<db::EvalEngine>(db, checker.options_.strategy);
-  checker.engine_->SetQueryFingerprints(checker.options_.query_fingerprints);
   checker.engine_->SetRecovery(checker.options_.recovery);
   // num_threads == 1 keeps the engine pool-free (the exact serial path);
   // 0 sizes the pool to the hardware. Results are identical either way.

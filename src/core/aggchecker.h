@@ -26,18 +26,17 @@ struct CheckOptions {
   claims::KeywordContextOptions context;
   model::ModelOptions model;
   db::EvalStrategy strategy = db::EvalStrategy::kMergedCached;
-  /// Ship candidates to the engine as interned query fingerprints and plan
-  /// merged cubes against integer-keyed caches that survive EM iterations
-  /// (DESIGN.md §12). false = the string-keyed reference path, which
-  /// re-plans every batch from rebuilt SQL strings — kept for differential
-  /// tests and benches. Reports are bit-identical either way.
+  /// Must stay true; AggChecker::Create rejects false with InvalidArgument.
+  /// Candidates always ship to the engine as interned query ids planned
+  /// against integer-keyed caches (DESIGN.md §12) — there is no other
+  /// merged path to select. The field remains only because the benchmark
+  /// harness still reads it.
   bool query_fingerprints = true;
   /// Verification-aware candidate pruning (DESIGN.md §17): probe candidates
   /// against column statistics before evaluation and skip the ones that
-  /// provably cannot match the claim. Runs on the string path only (the
-  /// naive strategy, or query_fingerprints off) and only under an unlimited
-  /// governor; silently off otherwise. Reports are bit-identical with
-  /// pruning on or off.
+  /// provably cannot match the claim. Runs on the naive strategy only and
+  /// only under an unlimited governor; silently off otherwise. Reports are
+  /// bit-identical with pruning on or off.
   bool probe_pruning = true;
   /// Differential mode: probe wherever pruning would, but evaluate
   /// everything too, counting probe/evaluation disagreements in

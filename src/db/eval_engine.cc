@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <set>
 
 #include "db/relation_cache.h"
@@ -59,18 +60,19 @@ std::string EvalEngine::RelationKey(const SimpleAggregateQuery& query) {
 std::vector<std::optional<double>> EvalEngine::DispatchQueries(
     const std::vector<SimpleAggregateQuery>& queries) {
   switch (strategy_) {
-    case EvalStrategy::kNaive:
-      return EvaluateNaive(queries);
+    case EvalStrategy::kNaive: {
+      std::vector<const SimpleAggregateQuery*> pointers;
+      pointers.reserve(queries.size());
+      for (const auto& q : queries) pointers.push_back(&q);
+      return EvaluateNaive(pointers);
+    }
     case EvalStrategy::kMerged:
     case EvalStrategy::kMergedCached: {
-      const bool use_cache = strategy_ == EvalStrategy::kMergedCached;
-      if (query_fingerprints_) {
-        std::vector<QueryInterner::Id> ids;
-        ids.reserve(queries.size());
-        for (const auto& q : queries) ids.push_back(interner_.InternQuery(q));
-        return EvaluateMergedIds(ids, use_cache);
-      }
-      return EvaluateMerged(queries, use_cache);
+      std::vector<QueryInterner::Id> ids;
+      ids.reserve(queries.size());
+      for (const auto& q : queries) ids.push_back(interner_.InternQuery(q));
+      return EvaluateMergedIds(ids,
+                               strategy_ == EvalStrategy::kMergedCached);
     }
   }
   return {};
@@ -80,10 +82,14 @@ std::vector<std::optional<double>> EvalEngine::DispatchIds(
     const std::vector<QueryInterner::Id>& ids) {
   switch (strategy_) {
     case EvalStrategy::kNaive: {
-      // Naive has no plan to share; materialize and scan per query.
-      std::vector<SimpleAggregateQuery> queries;
+      // Naive has no plan to share; materialize and scan per query. The
+      // interner's materializations are stable and nothing interns while
+      // the scans run, so the pointers stay valid.
+      std::vector<const SimpleAggregateQuery*> queries;
       queries.reserve(ids.size());
-      for (QueryInterner::Id id : ids) queries.push_back(interner_.Materialize(id));
+      for (QueryInterner::Id id : ids) {
+        queries.push_back(&interner_.Materialize(id));
+      }
       return EvaluateNaive(queries);
     }
     case EvalStrategy::kMerged:
@@ -153,17 +159,8 @@ void EvalEngine::RefreshDataVersions() {
     return stale;
   };
 
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    if (relation_stale(it->second.relation_key)) {
-      it = cache_.erase(it);
-      ++stats_.cache_invalidations;
-    } else {
-      ++it;
-    }
-  }
-  // Fingerprint-path entries carry relation identity in their SliceKey (the
-  // entry's relation_key field is unused there); resolve it through the
-  // interner's canonical relation key.
+  // Entries carry relation identity in their SliceKey; resolve it through
+  // the interner's canonical relation key.
   bool fp_evicted = false;
   for (auto it = fp_cache_.begin(); it != fp_cache_.end();) {
     if (relation_stale(interner_.relation_key(it->first.relation))) {
@@ -245,9 +242,7 @@ std::vector<std::optional<double>> EvalEngine::EvaluateProbeBackfill(
     const std::vector<SimpleAggregateQuery>& queries) {
   const ResourceGovernor* saved_governor = governor_;
   governor_ = nullptr;
-  publish_read_only_ = true;
   auto results = EvaluateBatch(queries);
-  publish_read_only_ = false;
   governor_ = saved_governor;
   return results;
 }
@@ -265,7 +260,7 @@ void EvalEngine::RunIndexed(size_t n, const std::function<void(size_t)>& body) {
 }
 
 std::vector<std::optional<double>> EvalEngine::EvaluateNaive(
-    const std::vector<SimpleAggregateQuery>& queries) {
+    const std::vector<const SimpleAggregateQuery*>& queries) {
   const size_t n = queries.size();
   std::vector<std::optional<double>> results(n);
 
@@ -288,7 +283,7 @@ std::vector<std::optional<double>> EvalEngine::EvaluateNaive(
       slot.skipped = true;  // budget spent before this query started
       return;
     }
-    auto r = executor_.Execute(queries[i], &slot.scan, governor_,
+    auto r = executor_.Execute(*queries[i], &slot.scan, governor_,
                                relation_cache_);
     if (r.ok()) {
       slot.value = *r;
@@ -307,10 +302,7 @@ std::vector<std::optional<double>> EvalEngine::EvaluateNaive(
   // update deterministically regardless of execution interleaving.
   Timer fold_timer;
   for (size_t i = 0; i < n; ++i) {
-    stats_.rows_scanned += slots[i].scan.rows_scanned;
-    stats_.joins_built += slots[i].scan.joins_built;
-    stats_.join_cache_hits += slots[i].scan.join_cache_hits;
-    stats_.join_seconds += slots[i].scan.join_seconds;
+    FoldScan(slots[i].scan);
     if (slots[i].skipped) {
       ++stats_.queries_aborted;
       continue;
@@ -323,6 +315,13 @@ std::vector<std::optional<double>> EvalEngine::EvaluateNaive(
   }
   stats_.fold_seconds += fold_timer.ElapsedSeconds();
   return results;
+}
+
+void EvalEngine::FoldScan(const ScanStats& scan) {
+  stats_.rows_scanned += scan.rows_scanned;
+  stats_.joins_built += scan.joins_built;
+  stats_.join_cache_hits += scan.join_cache_hits;
+  stats_.join_seconds += scan.join_seconds;
 }
 
 void EvalEngine::NoteHardError(const Status& status) {
@@ -544,325 +543,6 @@ std::optional<double> EvalEngine::AnswerFromCube(
   return v;
 }
 
-const EvalEngine::CacheEntry* EvalEngine::FindCached(
-    const CubeAggregate& agg, const std::vector<ColumnRef>& cols,
-    const std::map<std::string, std::vector<Value>>& needed_literals,
-    const std::string& relation_key, std::string* hit_key) const {
-  auto covers = [&](const CacheEntry& entry) {
-    if (entry.relation_key != relation_key) return false;
-    const CubeResult& cube = *entry.cube;
-    for (const ColumnRef& col : cols) {
-      int dim = -1;
-      for (size_t d = 0; d < cube.dims().size(); ++d) {
-        if (cube.dims()[d] == col) {
-          dim = static_cast<int>(d);
-          break;
-        }
-      }
-      if (dim < 0) return false;  // dimension not in this cube
-      auto it = needed_literals.find(strings::ToLower(col.ToString()));
-      if (it == needed_literals.end()) continue;
-      for (const Value& v : it->second) {
-        if (cube.BucketOf(static_cast<size_t>(dim), v) == kDefaultBucket) {
-          return false;  // literal not separately bucketed
-        }
-      }
-    }
-    return true;
-  };
-
-  // Exact dimension-set hit first.
-  std::string exact_key =
-      agg.Key() + "|" + relation_key + "|" + DimSetKey(cols);
-  auto it = cache_.find(exact_key);
-  if (it != cache_.end() && covers(it->second)) {
-    if (hit_key != nullptr) *hit_key = exact_key;
-    return &it->second;
-  }
-
-  // Otherwise any cached cube for the same aggregate whose dimensions are a
-  // superset of the query's predicate columns (rollup reuse, §6.3).
-  std::string agg_prefix = agg.Key() + "|";
-  for (const auto& [key, entry] : cache_) {
-    if (!strings::StartsWith(key, agg_prefix)) continue;
-    if (covers(entry)) {
-      if (hit_key != nullptr) *hit_key = key;
-      return &entry;
-    }
-  }
-  return nullptr;
-}
-
-std::vector<std::optional<double>> EvalEngine::EvaluateMerged(
-    const std::vector<SimpleAggregateQuery>& queries, bool use_cache) {
-  std::vector<std::optional<double>> results(queries.size());
-  Timer plan_timer;
-
-  // ---- Plan phase (serial) -------------------------------------------
-  // Everything that touches shared state — grouping, cache lookups and
-  // insertions, stats for hits/misses — happens here, in a deterministic
-  // order, before any worker runs. Cubes that must be executed are planned
-  // as jobs whose result shells are built (and, in cached mode, published
-  // to the cache) up front; the shells' shape is fixed at construction, so
-  // later cache-coverage checks within this same plan behave exactly as if
-  // the cubes had already been filled.
-
-  // Global relevant-literal map: the union of predicate values per column
-  // across the whole batch (the paper's "literals with non-zero marginal
-  // probability for any claim").
-  std::map<std::string, std::vector<Value>> literals_by_col;
-  std::map<std::string, ColumnRef> col_by_key;
-  for (const auto& q : queries) {
-    for (const Predicate& p : q.predicates) {
-      std::string key = strings::ToLower(p.column.ToString());
-      col_by_key.emplace(key, p.column);
-      auto& lits = literals_by_col[key];
-      if (std::find(lits.begin(), lits.end(), p.value) == lits.end()) {
-        lits.push_back(p.value);
-      }
-    }
-  }
-
-  // Group queries by relation (referenced-table set) and normalized
-  // predicate-column set; only queries over the same joined relation may
-  // share a cube.
-  struct Group {
-    std::vector<ColumnRef> dims;
-    std::string relation_key;
-    std::vector<size_t> query_indices;
-  };
-  std::map<std::string, Group> groups;
-  std::vector<NormalizedPreds> normalized(queries.size());
-  ScanStats serial_scan;
-
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const auto& q = queries[i];
-    if (!executor_.Validate(q).ok()) {
-      results[i] = std::nullopt;
-      continue;
-    }
-    normalized[i] = Normalize(q.predicates);
-    if (normalized[i].unsatisfiable) {
-      // Rare degenerate case: fall back to the reference executor so all
-      // strategies agree on semantics.
-      auto r = executor_.Execute(q, &serial_scan, governor_,
-                                 relation_cache_);
-      if (!r.ok()) NoteQueryFailure(i, r.status());
-      results[i] = r.ok() ? *r : std::nullopt;
-      continue;
-    }
-    std::vector<ColumnRef> dims;
-    dims.reserve(normalized[i].preds.size());
-    for (const Predicate& p : normalized[i].preds) dims.push_back(p.column);
-    std::sort(dims.begin(), dims.end());
-    std::string relation = RelationKey(q);
-    std::string key = relation + "||" + DimSetKey(dims);
-    auto& group = groups[key];
-    if (group.query_indices.empty()) {
-      group.dims = dims;
-      group.relation_key = relation;
-    }
-    group.query_indices.push_back(i);
-  }
-
-  /// Where a query's aggregate comes from: a cube (cached or this batch's
-  /// shell) and, if the cube is filled by this batch, its job index.
-  struct Source {
-    std::shared_ptr<CubeResult> cube;
-    size_t agg_idx = 0;
-    int job = -1;
-  };
-  struct PlannedGroup {
-    std::vector<size_t> query_indices;
-    std::unordered_map<std::string, Source> sources;
-  };
-  std::vector<CubeJob> jobs;
-  std::vector<PlannedGroup> planned;
-  planned.reserve(groups.size());
-  // Shell -> job index, so cache hits on this batch's own shells can be
-  // traced to the job that must succeed before they are readable.
-  std::unordered_map<const CubeResult*, int> job_of_cube;
-
-  for (auto& [group_key, group] : groups) {
-    (void)group_key;
-    // Base aggregates needed by this group (ratio fns need a Count).
-    std::vector<CubeAggregate> needed;
-    auto add_needed = [&needed](CubeAggregate agg) {
-      for (const auto& a : needed) {
-        if (a == agg) return;
-      }
-      needed.push_back(std::move(agg));
-    };
-    for (size_t qi : group.query_indices) {
-      const auto& q = queries[qi];
-      CubeAggregate agg;
-      agg.column = q.agg_column;
-      switch (q.fn) {
-        case AggFn::kPercentage:
-        case AggFn::kConditionalProbability:
-          agg.fn = AggFn::kCount;
-          break;
-        default:
-          agg.fn = q.fn;
-          break;
-      }
-      add_needed(std::move(agg));
-    }
-
-    // Literals needed on this group's dimensions.
-    std::map<std::string, std::vector<Value>> needed_literals;
-    for (const ColumnRef& d : group.dims) {
-      std::string key = strings::ToLower(d.ToString());
-      needed_literals[key] = literals_by_col[key];
-    }
-
-    // Resolve each aggregate to a (cube, index) source: cache or job.
-    PlannedGroup pg;
-    pg.query_indices = std::move(group.query_indices);
-    std::vector<CubeAggregate> to_execute;
-    for (const CubeAggregate& agg : needed) {
-      if (use_cache) {
-        std::string hit_key;
-        const CacheEntry* hit = FindCached(agg, group.dims, needed_literals,
-                                           group.relation_key, &hit_key);
-        // A hit on an entry carried over from a previous governor run must
-        // replay its recorded charges first (this batch's own shells are
-        // exempt — their execution charges directly). A replay that trips
-        // withdraws the entry and degrades the lookup to a miss, so the
-        // rebuild aborts under the tripped governor exactly as a cold run.
-        if (hit != nullptr && job_of_cube.count(hit->cube.get()) == 0 &&
-            !ReplayChargesForHit(*hit)) {
-          cache_.erase(hit_key);
-          hit = nullptr;
-        }
-        if (hit != nullptr) {
-          ++stats_.cache_hits;
-          Source src;
-          src.cube = hit->cube;
-          src.agg_idx = hit->agg_idx;
-          auto jit = job_of_cube.find(hit->cube.get());
-          if (jit != job_of_cube.end()) src.job = jit->second;
-          pg.sources[agg.Key()] = std::move(src);
-          continue;
-        }
-        ++stats_.cache_misses;
-      }
-      to_execute.push_back(agg);
-    }
-
-    if (!to_execute.empty()) {
-      std::vector<std::vector<Value>> dim_literals;
-      dim_literals.reserve(group.dims.size());
-      for (const ColumnRef& d : group.dims) {
-        dim_literals.push_back(
-            needed_literals[strings::ToLower(d.ToString())]);
-        // Pre-warm the dimension's lazy dictionary (codes + distinct
-        // values) while still serial; cube workers then only read it.
-        if (const Column* col = db_->FindColumn(d)) (void)col->Codes();
-      }
-      // Likewise pre-warm what the vectorized kernels read: the flat typed
-      // view of every aggregate column, and the dictionary for
-      // CountDistinct (which aggregates codes instead of hashing Values).
-      // Column's lazy builds are internally synchronized, but building here
-      // keeps workers on the lock-free already-built path.
-      for (const CubeAggregate& agg : to_execute) {
-        if (agg.is_star()) continue;
-        if (const Column* col = db_->FindColumn(agg.column)) {
-          (void)col->Flat();
-          if (agg.fn == AggFn::kCountDistinct) (void)col->Codes();
-        }
-      }
-      CubeJob job;
-      job.shell = std::make_shared<CubeResult>(group.dims, dim_literals,
-                                               to_execute);
-      const int job_idx = static_cast<int>(jobs.size());
-      job_of_cube[job.shell.get()] = job_idx;
-      ++stats_.cube_queries;
-      for (size_t a = 0; a < to_execute.size(); ++a) {
-        Source src;
-        src.cube = job.shell;
-        src.agg_idx = a;
-        src.job = job_idx;
-        pg.sources[to_execute[a].Key()] = std::move(src);
-        if (use_cache && !publish_read_only_) {
-          std::string cache_key = to_execute[a].Key() + "|" +
-                                  group.relation_key + "|" +
-                                  DimSetKey(group.dims);
-          cache_[cache_key] =
-              CacheEntry{job.shell, a, group.relation_key};
-          job.cache_keys.push_back(std::move(cache_key));
-        }
-      }
-      jobs.push_back(std::move(job));
-    }
-    planned.push_back(std::move(pg));
-  }
-
-  stats_.plan_seconds += plan_timer.ElapsedSeconds();
-
-  ExecuteJobs(jobs);
-
-  // ---- Fold phase (serial, job order) --------------------------------
-  // Stats accumulate and failed jobs withdraw their cache entries in plan
-  // order, so cache contents and counters never depend on interleaving.
-  Timer fold_timer;
-  for (CubeJob& job : jobs) {
-    stats_.rows_scanned += job.scan.rows_scanned;
-    stats_.joins_built += job.scan.joins_built;
-    stats_.join_cache_hits += job.scan.join_cache_hits;
-    stats_.join_seconds += job.scan.join_seconds;
-    if (job.status.ok()) {
-      // The execution just charged this run; stamp it so a later run (not
-      // this one) replays the recorded charges on a warm hit.
-      if (governor_ != nullptr) {
-        job.shell->charges.charged_run = governor_->run_id();
-      }
-      continue;
-    }
-    for (const std::string& key : job.cache_keys) cache_.erase(key);
-    if (!job.status.IsResourceExhausted()) NoteHardError(job.status);
-  }
-  stats_.fold_seconds += fold_timer.ElapsedSeconds();
-
-  // ---- Answer phase (serial, group order) ----------------------------
-  Timer answer_timer;
-  for (const PlannedGroup& pg : planned) {
-    for (size_t qi : pg.query_indices) {
-      const auto& q = queries[qi];
-      CubeAggregate agg;
-      agg.column = q.agg_column;
-      agg.fn = (q.fn == AggFn::kPercentage ||
-                q.fn == AggFn::kConditionalProbability)
-                   ? AggFn::kCount
-                   : q.fn;
-      auto it = pg.sources.find(agg.Key());
-      if (it == pg.sources.end()) {
-        results[qi] = std::nullopt;
-        continue;
-      }
-      const Source& src = it->second;
-      if (src.job >= 0 && !jobs[static_cast<size_t>(src.job)].status.ok()) {
-        // Cube execution failed; a governor stop means this query was
-        // aborted (its claim degrades to a partial verdict), anything else
-        // is recorded for the recovery pass.
-        NoteQueryFailure(qi, jobs[static_cast<size_t>(src.job)].status);
-        results[qi] = std::nullopt;
-        continue;
-      }
-      results[qi] = AnswerFromCube(q, normalized[qi], *src.cube,
-                                   src.agg_idx);
-    }
-  }
-
-  stats_.answer_seconds += answer_timer.ElapsedSeconds();
-
-  stats_.rows_scanned += serial_scan.rows_scanned;
-  stats_.joins_built += serial_scan.joins_built;
-  stats_.join_cache_hits += serial_scan.join_cache_hits;
-  stats_.join_seconds += serial_scan.join_seconds;
-  return results;
-}
-
 void EvalEngine::ExecuteJobs(std::vector<CubeJob>& jobs) {
   // ---- Execute phase (parallel, morsel-driven) ------------------------
   // Each job fills exactly one shell; workers share nothing but the
@@ -1003,9 +683,8 @@ const EvalEngine::GroupPlan& EvalEngine::EnsureGroupPlan(
   }
   plan.relation = cq.relation;
   plan.dimset = cq.dimset;
-  plan.relation_key = interner_.relation_key(cq.relation);
-  plan.dimset_key = DimSetKey(plan.dims);
-  plan.sort_key = plan.relation_key + "||" + plan.dimset_key;
+  plan.sort_key = interner_.relation_key(cq.relation) + "||" +
+                  DimSetKey(plan.dims);
   ++stats_.plans_built;
   return group_plans_.emplace(key, std::move(plan)).first->second;
 }
@@ -1014,9 +693,9 @@ const EvalEngine::CacheEntry* EvalEngine::FindCachedIds(
     QueryInterner::Id agg, const GroupPlan& plan,
     const std::vector<const std::vector<Value>*>& dim_literals,
     SliceKey* hit_key) const {
-  // Same coverage test as the string path's FindCached: every group
-  // dimension must be a dimension of the candidate cube, with every batch
-  // literal separately bucketed (relation equality is implied by the keys).
+  // Coverage: every group dimension must be a dimension of the candidate
+  // cube, with every batch literal separately bucketed (relation equality
+  // is implied by the keys).
   auto covers = [&](const CacheEntry& entry) {
     const CubeResult& cube = *entry.cube;
     for (size_t i = 0; i < plan.dims.size(); ++i) {
@@ -1063,9 +742,9 @@ const EvalEngine::CacheEntry* EvalEngine::FindCachedIds(
 std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
     const std::vector<QueryInterner::Id>& ids, bool use_cache) {
   std::vector<std::optional<double>> results(ids.size());
-  // Planner fault point: no production twin shares the fingerprint
-  // planner, so chaos tests use it to prove such faults quarantine the
-  // owning claims instead of aborting the run.
+  // Planner fault point: the merged planner has no production twin, so
+  // chaos tests use it to prove such faults quarantine the owning claims
+  // instead of aborting the run.
   {
     Status planner_fault = Status::OK();
     AGG_FAULT_POINT_STATUS("plan.fingerprint", planner_fault);
@@ -1079,19 +758,23 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
   Timer plan_timer;
 
   // ---- Plan phase (serial) -------------------------------------------
-  // The fingerprint twin of EvaluateMerged's plan phase: same ordering,
-  // same cache decisions, but all identity work is integer hashing against
-  // state compiled once per distinct query / group and reused across
-  // batches and EM iterations.
+  // Everything that touches shared state — grouping, cache lookups and
+  // insertions, stats for hits/misses — happens here, in a deterministic
+  // order, before any worker runs. Cubes that must be executed are planned
+  // as jobs whose result shells are built (and, in cached mode, published
+  // to the cache) up front; the shells' shape is fixed at construction, so
+  // later cache-coverage checks within this same plan behave exactly as if
+  // the cubes had already been filled. All identity work is integer
+  // hashing against state compiled once per distinct query / group and
+  // reused across batches and EM iterations.
 
   // Compile every query once (validity, normalization, group ids).
   for (QueryInterner::Id id : ids) EnsureCompiled(id);
 
   // Batch-relevant literals: the union of predicate values per column over
-  // the whole batch — including invalid queries, exactly like the string
-  // path, which collects literals before validation. Dedup is by predicate
-  // id: the interner's value identity is Value::operator==, the same
-  // equivalence the string path's std::find dedup uses.
+  // the whole batch, invalid queries included (the paper's "literals with
+  // non-zero marginal probability for any claim"). Dedup is by predicate
+  // id: the interner's value identity is Value::operator==.
   ++batch_epoch_;
   if (batch_epoch_ == 0) {
     // Epoch counter wrapped: stale stamps could alias. Reset all stamps.
@@ -1127,9 +810,9 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
     }
   }
 
-  // Group queries by (relation, dimension set) — integer keys — then sort
-  // groups by the string path's composite map key so group order (and with
-  // it intra-batch cache rollup behavior) is byte-identical.
+  // Group queries by (relation, dimension set) — integer keys; only queries
+  // over the same joined relation may share a cube. Groups then run in
+  // GroupPlan::sort_key order, which pins intra-batch rollup reuse.
   struct BatchGroup {
     const GroupPlan* plan = nullptr;
     std::vector<size_t> query_indices;
@@ -1182,9 +865,9 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
 
   for (BatchGroup& bg : batch_groups) {
     const GroupPlan& plan = *bg.plan;
-    // Base aggregate ids needed by this group, deduplicated in first-need
-    // order (matches the string path's CubeAggregate dedup — aggregate ids
-    // are injective on (fn, column) identity).
+    // Base aggregate ids needed by this group (ratio fns need a Count),
+    // deduplicated in first-need order — aggregate ids are injective on
+    // (fn, column) identity.
     std::vector<QueryInterner::Id> needed;
     for (size_t qi : bg.query_indices) {
       QueryInterner::Id agg = compiled_[ids[qi]].agg;
@@ -1210,7 +893,11 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
         SliceKey hit_key;
         const CacheEntry* hit = FindCachedIds(agg, plan, dim_literals,
                                               &hit_key);
-        // Cross-run charge replay, as on the string path.
+        // A hit on an entry carried over from a previous governor run must
+        // replay its recorded charges first (this batch's own shells are
+        // exempt — their execution charges directly). A replay that trips
+        // withdraws the entry and degrades the lookup to a miss, so the
+        // rebuild aborts under the tripped governor exactly as a cold run.
         if (hit != nullptr && job_of_cube.count(hit->cube.get()) == 0 &&
             !ReplayChargesForHit(*hit)) {
           fp_cache_.erase(hit_key);
@@ -1269,14 +956,14 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
         src.agg_idx = a;
         src.job = job_idx;
         pg.sources[to_execute[a]] = std::move(src);
-        if (use_cache && !publish_read_only_) {
+        if (use_cache) {
           SliceKey key{to_execute[a], plan.relation, plan.dimset};
           auto [cit, inserted] =
-              fp_cache_.emplace(key, CacheEntry{job.shell, a, {}});
+              fp_cache_.emplace(key, CacheEntry{job.shell, a});
           if (!inserted) {
             // Republished slice (the earlier cube lacked a literal bucket):
             // replace the entry but keep its original rollup-scan position.
-            cit->second = CacheEntry{job.shell, a, {}};
+            cit->second = CacheEntry{job.shell, a};
           } else {
             fp_cache_order_[(uint64_t{to_execute[a]} << 32) |
                             uint64_t{plan.relation}]
@@ -1295,13 +982,14 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
   ExecuteJobs(jobs);
 
   // ---- Fold phase (serial, job order) --------------------------------
+  // Stats accumulate and failed jobs withdraw their cache entries in plan
+  // order, so cache contents and counters never depend on interleaving.
   Timer fold_timer;
   for (CubeJob& job : jobs) {
-    stats_.rows_scanned += job.scan.rows_scanned;
-    stats_.joins_built += job.scan.joins_built;
-    stats_.join_cache_hits += job.scan.join_cache_hits;
-    stats_.join_seconds += job.scan.join_seconds;
+    FoldScan(job.scan);
     if (job.status.ok()) {
+      // The execution just charged this run; stamp it so a later run (not
+      // this one) replays the recorded charges on a warm hit.
       if (governor_ != nullptr) {
         job.shell->charges.charged_run = governor_->run_id();
       }
@@ -1337,11 +1025,7 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
   }
 
   stats_.answer_seconds += answer_timer.ElapsedSeconds();
-
-  stats_.rows_scanned += serial_scan.rows_scanned;
-  stats_.joins_built += serial_scan.joins_built;
-  stats_.join_cache_hits += serial_scan.join_cache_hits;
-  stats_.join_seconds += serial_scan.join_seconds;
+  FoldScan(serial_scan);
   return results;
 }
 

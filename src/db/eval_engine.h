@@ -1,7 +1,7 @@
 #pragma once
 
 #include <deque>
-#include <map>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -47,11 +47,11 @@ struct EvalStats {
   /// Queries left unanswered because the resource governor tripped; their
   /// results surface as nullopt and the owning claims become partial.
   size_t queries_aborted = 0;
-  /// Plan-cache counters (fingerprint path only; the string-keyed reference
-  /// path re-plans every batch and leaves both at zero). A "plan" is the
-  /// per-(relation, dimension-set) grouping work — canonical keys, sorted
-  /// dims, column bindings — built once and reused across batches, claims,
-  /// and EM iterations.
+  /// Plan-cache counters (merged strategies only; the naive strategy plans
+  /// nothing and leaves both at zero). A "plan" is the per-(relation,
+  /// dimension-set) grouping work — canonical keys, sorted dims, column
+  /// bindings — built once and reused across batches, claims, and EM
+  /// iterations.
   size_t plans_built = 0;
   size_t plan_cache_hits = 0;
   /// Cached cube slices evicted because a base table's data version moved
@@ -110,30 +110,27 @@ class EvalEngine {
         relation_cache_(&db->relation_cache()) {}
 
   /// Evaluates every query; result[i] is nullopt when query i is invalid,
-  /// unsatisfiable for value-returning aggregates, or undefined.
-  /// With query fingerprints enabled (the default) merged strategies intern
-  /// the queries and run the fingerprint path; results are bit-identical
-  /// either way (the plan-cache differential test pins this down).
+  /// unsatisfiable for value-returning aggregates, or undefined. Merged
+  /// strategies intern the queries and plan them by id, exactly as
+  /// EvaluateInterned does; the naive strategy scans each query directly.
   std::vector<std::optional<double>> EvaluateBatch(
       const std::vector<SimpleAggregateQuery>& queries);
 
   /// Evaluates a batch of interned queries by id (see interner()). The
-  /// fast path for callers that generate candidates as fingerprints — no
+  /// path for callers that generate candidates as ids — no
   /// SimpleAggregateQuery strings are built except lazily for the naive
   /// strategy and executor fallbacks. Ids must come from this engine's
-  /// interner. Requires query fingerprints enabled.
+  /// interner.
   std::vector<std::optional<double>> EvaluateInterned(
       const std::vector<QueryInterner::Id>& ids);
 
   /// \brief Off-ledger evaluation for report backfill (DESIGN.md §17).
   ///
-  /// Evaluates `queries` with the governor detached and cache publication
-  /// disabled: reads are allowed, but no new cache entries appear — a cube
-  /// executed here was never charged, so publishing it would let a later
-  /// budgeted run hit an entry whose charge replay diverges from a cold
-  /// rebuild. Recovery still runs, so chaos faults heal the same way they
-  /// do on the main path. Probing runs on the string path only (naive
-  /// strategy or query_fingerprints off), so this takes queries, not ids.
+  /// Evaluates `queries` with the governor detached, so the backfill
+  /// charges nothing. Probing runs on the naive strategy only, which never
+  /// publishes cache entries, so nothing here can leak into a later run.
+  /// Recovery still runs, so chaos faults heal the same way they do on the
+  /// main path.
   std::vector<std::optional<double>> EvaluateProbeBackfill(
       const std::vector<SimpleAggregateQuery>& queries);
 
@@ -143,16 +140,10 @@ class EvalEngine {
   const EvalStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
   void ClearCache() {
-    cache_.clear();
     fp_cache_.clear();
     fp_cache_order_.clear();
   }
   EvalStrategy strategy() const { return strategy_; }
-
-  /// Toggles the fingerprint-keyed plan/cache path (default on). Off = the
-  /// string-keyed reference path, kept for differential testing.
-  void SetQueryFingerprints(bool enabled) { query_fingerprints_ = enabled; }
-  bool query_fingerprints() const { return query_fingerprints_; }
 
   /// The engine's query interner. Callers (the translator) intern candidate
   /// fragments through this and ship ids to EvaluateInterned. Interning is
@@ -261,12 +252,11 @@ class EvalEngine {
 
  private:
   /// One cached slice: a cube result plus the index of the aggregate within
-  /// it that this cache entry answers, tagged with the relation the cube
-  /// was computed over.
+  /// it that this cache entry answers (the relation it was computed over is
+  /// part of its SliceKey).
   struct CacheEntry {
     std::shared_ptr<CubeResult> cube;
     size_t agg_idx;
-    std::string relation_key;
   };
 
   /// Normalized predicates: deduplicated, with a flag when the conjunction
@@ -277,9 +267,8 @@ class EvalEngine {
   };
   static NormalizedPreds Normalize(const std::vector<Predicate>& preds);
 
-  /// Slice identity on the fingerprint path: which (aggregate, relation,
-  /// dimension-set) a cached cube slice answers. The integer twin of the
-  /// string path's "AggKey|relation|dimset" cache key.
+  /// Slice identity: which (aggregate, relation, dimension-set) a cached
+  /// cube slice answers, all three as interned ids.
   struct SliceKey {
     QueryInterner::Id agg = QueryInterner::kNone;
     QueryInterner::Id relation = QueryInterner::kNone;
@@ -302,8 +291,8 @@ class EvalEngine {
   /// Per-query compilation cached across batches (indexed by interned query
   /// id): validity, normalized predicates, sorted dimension columns, and the
   /// interned ids planning groups by. Built once per distinct candidate for
-  /// the lifetime of the engine — the per-iteration plan work the string
-  /// path re-does from scratch.
+  /// the lifetime of the engine, so re-selecting a candidate in a later EM
+  /// iteration re-plans nothing.
   struct CompiledQuery {
     bool compiled = false;
     bool valid = false;
@@ -315,7 +304,7 @@ class EvalEngine {
   };
 
   /// Cached plan of one (relation, dimension-set) cube group: everything
-  /// the plan phase used to rebuild per batch from strings. Plans hold no
+  /// the plan phase would otherwise rebuild per batch. Plans hold no
   /// result data, so they never need governor-trip invalidation; the
   /// catalog (hence every dim/relation here) is immutable per run.
   struct GroupPlan {
@@ -323,29 +312,26 @@ class EvalEngine {
     std::vector<const Column*> dim_columns;  ///< bound once; may hold null
     QueryInterner::Id relation = QueryInterner::kNone;
     QueryInterner::Id dimset = QueryInterner::kNone;
-    std::string relation_key;
-    std::string dimset_key;
-    /// The string path's std::map composite key; batch groups sort by this
-    /// so group order (and thus intra-batch cache rollup behavior) is
-    /// byte-identical to the reference path.
+    /// "relation||dimset" in canonical lower-cased names. Batch groups
+    /// sort by this key, which pins group order: a later group may roll up
+    /// from an earlier group's cube within the same batch, so the order
+    /// decides cube_queries, cache hits and governor charges.
     std::string sort_key;
   };
 
-  /// One cube to materialize: fills `shell` on a worker. The cache keys
-  /// (string- or fingerprint-keyed, per mode) published for it at plan time
-  /// are withdrawn on failure.
+  /// One cube to materialize: fills `shell` on a worker. The cache slices
+  /// published for it at plan time are withdrawn on failure.
   struct CubeJob {
     std::shared_ptr<CubeResult> shell;
-    std::vector<std::string> cache_keys;
     std::vector<SliceKey> slice_keys;
     Status status = Status::OK();
     ScanStats scan;
   };
 
   std::vector<std::optional<double>> EvaluateNaive(
-      const std::vector<SimpleAggregateQuery>& queries);
-  std::vector<std::optional<double>> EvaluateMerged(
-      const std::vector<SimpleAggregateQuery>& queries, bool use_cache);
+      const std::vector<const SimpleAggregateQuery*>& queries);
+  /// The merged planner (§6.2, plus the §6.3 result cache when
+  /// `use_cache`): plan → execute → fold → answer over interned ids.
   std::vector<std::optional<double>> EvaluateMergedIds(
       const std::vector<QueryInterner::Id>& ids, bool use_cache);
 
@@ -383,9 +369,8 @@ class EvalEngine {
   /// plan_cache_hits).
   const GroupPlan& EnsureGroupPlan(const CompiledQuery& cq);
 
-  /// Shared execute phase: Prepare / morsel-drained ScanBlock / Finish over
-  /// `jobs`, adding wall time to EvalStats::execute_seconds. Both merged
-  /// paths funnel through this so scheduling behavior cannot drift.
+  /// Execute phase: Prepare / morsel-drained ScanBlock / Finish over
+  /// `jobs`, adding wall time to EvalStats::execute_seconds.
   void ExecuteJobs(std::vector<CubeJob>& jobs);
 
   /// Runs body(i) for i in [0, n): on the attached pool when present,
@@ -399,35 +384,23 @@ class EvalEngine {
                                        const CubeResult& cube,
                                        size_t agg_idx) const;
 
-  /// Finds a cached slice answering `agg` over predicate columns `cols`
-  /// with the required literals, for a query running over relation
-  /// `relation_key`; nullptr on miss. Cubes over different relations are
-  /// never interchangeable: an aggregate over a PK-FK join differs from the
-  /// same aggregate over a base table (inner joins drop dangling rows and
-  /// joins multiply cardinalities).
+  /// Finds a cached slice answering aggregate `agg` over the group's
+  /// relation and dimensions with every batch literal bucketed; nullptr on
+  /// miss. Exact SliceKey hit first, then a rollup scan over the
+  /// first-publish-ordered slices of (agg, plan.relation) for a cube whose
+  /// dimensions are a superset. Cubes over different relations are never
+  /// interchangeable: an aggregate over a PK-FK join differs from the same
+  /// aggregate over a base table (inner joins drop dangling rows and joins
+  /// multiply cardinalities).
   ///
   /// During a batch's plan phase the cache may hold entries whose cube is a
   /// still-empty shell scheduled for this batch; coverage only inspects the
   /// cube's shape (dims + literal buckets), which is fixed at construction,
   /// so hit/miss decisions are identical whether the cube is filled yet.
-  /// `hit_key`, when non-null, receives the cache key the returned entry is
-  /// registered under (which differs from the exact key on rollup hits) so
-  /// the caller can withdraw the entry if its charge replay trips.
-  const CacheEntry* FindCached(const CubeAggregate& agg,
-                               const std::vector<ColumnRef>& cols,
-                               const std::map<std::string, std::vector<Value>>&
-                                   needed_literals,
-                               const std::string& relation_key,
-                               std::string* hit_key = nullptr) const;
-
-  /// Fingerprint-path twin of FindCached: exact SliceKey hit first, then a
-  /// rollup scan over the insertion-ordered slices of (agg, plan.relation).
-  /// Hit/miss *existence* matches the string path exactly (same candidate
-  /// set, same coverage test); when several cached cubes cover, the one
-  /// chosen may differ — covering cubes answer identically, so this only
-  /// shows up through job linkage under governor trips (see DESIGN.md §12).
-  /// `dim_literals[d]` are the batch literals of plan.dims[d].
-  /// `hit_key` as in FindCached: the SliceKey the entry lives under.
+  /// `dim_literals[d]` are the batch literals of plan.dims[d]. `hit_key`,
+  /// when non-null, receives the SliceKey the returned entry lives under
+  /// (which differs from the exact key on rollup hits) so the caller can
+  /// withdraw the entry if its charge replay trips.
   const CacheEntry* FindCachedIds(
       QueryInterner::Id agg, const GroupPlan& plan,
       const std::vector<const std::vector<Value>*>& dim_literals,
@@ -441,8 +414,7 @@ class EvalEngine {
   /// Diffs the database's current version vector against the last observed
   /// one; when tables changed, evicts exactly the cached cube slices whose
   /// relation's join closure reads a changed table (counted in
-  /// EvalStats::cache_invalidations) from cache_ / fp_cache_ /
-  /// fp_cache_order_. Plans (group_plans_), compilations (compiled_), and
+  /// EvalStats::cache_invalidations) from fp_cache_ / fp_cache_order_. Plans (group_plans_), compilations (compiled_), and
   /// the interner survive: they hold no result data, and their bound
   /// Column pointers stay valid because ingestion mutates columns in place.
   void RefreshDataVersions();
@@ -457,6 +429,10 @@ class EvalEngine {
   /// replay itself trips a limit. Entries linked to a job of the current
   /// batch are skipped (their execution charges this run directly).
   bool ReplayChargesForHit(const CacheEntry& entry);
+
+  /// Adds one scan's counters (rows, joins built, join cache hits, join
+  /// time) to stats_. Called only from serial fold phases.
+  void FoldScan(const ScanStats& scan);
 
   /// Records `status` as the run's hard error unless it is an expected
   /// query-shape failure (kInvalidArgument/kNotFound/kUnsupported). First
@@ -481,18 +457,14 @@ class EvalEngine {
   std::vector<std::pair<size_t, Status>> batch_failed_;
   std::vector<size_t> failed_queries_;       ///< see ConsumeFailedQueries
   std::vector<QueryRecovery> recovery_records_;
-  // Cache key: aggregate key + "|" + relation key + "|" + sorted dim-set
-  // key. Written only from serial plan/fold phases.
-  std::unordered_map<std::string, CacheEntry> cache_;
   /// Last observed database version vector (see RefreshDataVersions);
   /// starts empty, so the first sweep observes every table as "changed"
   /// against empty caches — a no-op.
   std::vector<std::pair<std::string, uint64_t>> data_versions_;
 
-  // ---- Fingerprint path state (see DESIGN.md §12) ----------------------
+  // ---- Planner state (see DESIGN.md §12) -------------------------------
   // All of it is written only from serial plan/fold phases; workers never
   // touch the interner or these maps.
-  bool query_fingerprints_ = true;
   QueryInterner interner_;
   /// Indexed by interned query id (ids are dense). Deque: references stay
   /// stable while new queries compile.
@@ -500,16 +472,13 @@ class EvalEngine {
   /// (relation id << 32 | dimset id) -> plan. Survives batches and EM
   /// iterations; holds no result data, so ClearCache leaves it alone.
   std::unordered_map<uint64_t, GroupPlan> group_plans_;
-  /// Result cache, fingerprint-keyed. fp_cache_order_ lists the SliceKeys
+  /// Result cache, keyed by SliceKey. fp_cache_order_ lists the SliceKeys
   /// of each (agg id << 32 | relation id) in first-publish order for the
   /// rollup scan; withdrawn entries linger there as stale keys (skipped via
   /// map membership) — republishing may append a duplicate, bounded by the
   /// number of governor trips.
   std::unordered_map<SliceKey, CacheEntry, SliceKeyHasher> fp_cache_;
   std::unordered_map<uint64_t, std::vector<SliceKey>> fp_cache_order_;
-  /// True while EvaluateProbeBackfill runs: cache publication sites are
-  /// skipped (reads of existing entries still happen).
-  bool publish_read_only_ = false;
 
   /// Batch-local scratch for literal collection, epoch-stamped so clearing
   /// between batches is O(touched), not O(interned).

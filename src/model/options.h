@@ -79,8 +79,8 @@ struct ModelOptions {
   /// Verification-aware candidate pruning (DESIGN.md §17): probe each
   /// candidate against column statistics before it enters the evaluation
   /// batch, and skip the ones that provably cannot match the claim. The
-  /// translator runs it on the string path only (naive strategy, or query
-  /// fingerprints off) and only under an unlimited governor. Reports are
+  /// translator runs it on the naive strategy only and only under an
+  /// unlimited governor. Reports are
   /// bit-identical with pruning on or off (the probe-pruning differential
   /// tests pin this down); the flag only trades probe work for scans.
   bool probe_pruning = true;

@@ -233,24 +233,17 @@ TranslationResult Translator::Translate(
   std::vector<std::unordered_map<uint64_t, EvalOutcome>> outcomes(n);
   std::vector<std::vector<ScoredTriple>> selections(n);
 
-  // Fingerprint path: candidates ship to the engine as interned query ids,
-  // encoded through per-claim memo tables that persist across iterations.
-  // Encoders are created and used only in serial sections (the interner is
-  // not thread-safe); the parallel final-distributions loop below sticks to
+  // Candidates ship to the engine as interned query ids, encoded through
+  // per-claim memo tables that persist across iterations; the naive
+  // strategy materializes them back inside the engine. Encoders are created
+  // and used only in serial sections (the interner is not thread-safe); the
+  // parallel final-distributions loop below sticks to
   // CandidateSpace::Materialize.
-  // The naive strategy takes the string path even when fingerprints are
-  // on: it scans per query either way, and the string path is where
-  // probing runs. Interned materialization is content-identical to the
-  // space's, so results cannot move.
-  db::QueryInterner* interner =
-      engine->query_fingerprints() &&
-              engine->strategy() != db::EvalStrategy::kNaive
-          ? &engine->interner()
-          : nullptr;
+  db::QueryInterner& interner = engine->interner();
   std::vector<std::optional<CandidateInterner>> encoders(n);
   auto encoder_for = [&](size_t i) -> CandidateInterner& {
     if (!encoders[i].has_value()) {
-      encoders[i].emplace(*spaces[i], *catalog_, *interner);
+      encoders[i].emplace(*spaces[i], *catalog_, interner);
     }
     return *encoders[i];
   };
@@ -260,12 +253,13 @@ TranslationResult Translator::Translate(
   // they enter their first batch, and a decided candidate skips the batch
   // outright. That is work-proportional charging, so probing runs only
   // when no budget is in play (exhaustion points must not move), and only
-  // on the string path: per-candidate scans are where skipping pays — a
+  // on the naive strategy: per-candidate scans are where skipping pays — a
   // merged cube computes the pruned slice's neighbours in the same scan.
   // In probe_verify mode decisions are recorded and cross-checked but
   // never acted on, so everything evaluates for real.
   const bool probing =
-      options_.probe_pruning && interner == nullptr &&
+      options_.probe_pruning &&
+      engine->strategy() == db::EvalStrategy::kNaive &&
       (governor == nullptr || governor->limits().unlimited());
   std::optional<CandidateProber> prober;
   std::vector<rounding::MatchInterval> claim_intervals;
@@ -319,10 +313,8 @@ TranslationResult Translator::Translate(
     });
 
     // RefineByEval: evaluate all newly selected candidates in one batch so
-    // the engine can merge across claims (§6.2). On the fingerprint path
-    // candidates are encoded to interned ids instead of materialized.
-    std::vector<db::SimpleAggregateQuery> batch;
-    std::vector<db::QueryInterner::Id> id_batch;
+    // the engine can merge across claims (§6.2).
+    std::vector<db::QueryInterner::Id> batch;
     std::vector<std::pair<size_t, uint64_t>> batch_owner;
     std::vector<uint8_t> probe_batch;  // probe_verify: decided per entry
     for (size_t i = 0; i < n; ++i) {
@@ -348,19 +340,14 @@ TranslationResult Translator::Translate(
           }
           probe_batch.push_back(decided ? 1 : 0);
         }
-        if (interner != nullptr) {
-          id_batch.push_back(encoder_for(i).Encode(t.f, t.c, t.s));
-        } else {
-          batch.push_back(spaces[i]->Materialize(t.f, t.c, t.s, *catalog_));
-        }
+        batch.push_back(encoder_for(i).Encode(t.f, t.c, t.s));
         batch_owner.emplace_back(i, key);
         outcomes[i][key] = EvalOutcome{};  // reserve to avoid dup enqueues
       }
     }
     if (!batch_owner.empty()) {
       result.queries_evaluated += batch_owner.size();
-      auto results = interner != nullptr ? engine->EvaluateInterned(id_batch)
-                                         : engine->EvaluateBatch(batch);
+      auto results = engine->EvaluateInterned(batch);
       if (!absorb_engine_failures(engine, [&](size_t b) {
             return batch_owner[std::min(b, batch_owner.size() - 1)].first;
           })) {
@@ -417,12 +404,8 @@ TranslationResult Translator::Translate(
       if (best != nullptr) {
         // The interned materialization is content-identical to the space's
         // (same catalog fragments), so the priors see the same queries.
-        ml_queries.push_back(
-            interner != nullptr
-                ? interner->Materialize(
-                      encoder_for(i).Encode(best->f, best->c, best->s))
-                : spaces[i]->Materialize(best->f, best->c, best->s,
-                                         *catalog_));
+        ml_queries.push_back(interner.Materialize(
+            encoder_for(i).Encode(best->f, best->c, best->s)));
       }
     }
     Priors next = Priors::FromMlQueries(ml_queries, *catalog_);
@@ -509,8 +492,9 @@ TranslationResult Translator::Translate(
   // Top-k backfill (DESIGN.md §17): pruned candidates that made it into
   // the reported head of a distribution carry no result; evaluate them for
   // real so reports show actual values. Off-ledger by contract —
-  // EvaluateProbeBackfill charges no governor and publishes no new cache
-  // entries — so later claims and re-checks see identical state either way.
+  // EvaluateProbeBackfill charges no governor, and the naive strategy
+  // caches no results — so later claims and re-checks see identical state
+  // either way.
   if (probing && !options_.probe_verify) {
     std::vector<db::SimpleAggregateQuery> back_queries;
     std::vector<std::pair<size_t, size_t>> back_owner;  // (claim, rank)

@@ -92,7 +92,7 @@ struct TranslationResult {
   /// not. Empty for claims whose space references no table.
   std::vector<std::vector<std::string>> dependency_tables;
   /// Verification-aware probe counters (DESIGN.md §17); all-zero when
-  /// ModelOptions::probe_pruning is off, on the fingerprint path, or under
+  /// ModelOptions::probe_pruning is off, on the merged strategies, or under
   /// a limited governor.
   ProbeStats probe_stats;
 };

@@ -22,7 +22,7 @@ namespace aggchecker {
 /// Determinism contract: ParallelFor provides no ordering between iterations;
 /// callers that need bit-identical output across thread counts must write
 /// into pre-sized per-index slots and fold the slots serially afterwards
-/// (see EvalEngine::EvaluateMerged and Translator for the pattern).
+/// (see EvalEngine::EvaluateMergedIds and Translator for the pattern).
 ///
 /// Exception / Status propagation: if body invocations throw, the exception
 /// from the *lowest* failing index is rethrown on the caller's thread once

@@ -36,6 +36,21 @@ TEST(AggCheckerTest, CreateRequiresDatabase) {
   EXPECT_FALSE(AggChecker::Create(&empty).ok());
 }
 
+// There is no second merged path for query_fingerprints = false to select.
+// Accepting the switch silently would turn a caller's on/off comparison
+// into a comparison of one path with itself, so Create refuses it.
+TEST(AggCheckerTest, CreateRejectsDisabledQueryFingerprints) {
+  auto database = MakeNflDatabase();
+  CheckOptions options;
+  options.query_fingerprints = false;
+  auto checker = AggChecker::Create(&database, options);
+  ASSERT_FALSE(checker.ok());
+  EXPECT_EQ(checker.status().code(), StatusCode::kInvalidArgument);
+  // The naive strategy is no exception.
+  options.strategy = db::EvalStrategy::kNaive;
+  EXPECT_FALSE(AggChecker::Create(&database, options).ok());
+}
+
 TEST(AggCheckerTest, VerifiesCorrectArticle) {
   auto database = MakeNflDatabase();
   auto checker = AggChecker::Create(&database);

@@ -18,13 +18,8 @@ namespace fs = std::filesystem;
 
 class ExportTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("aggchecker_export_test_" + std::to_string(::getpid()));
-    fs::remove_all(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-  fs::path dir_;
+  testing_fixtures::ScopedTempDir tmp_{"export_test"};
+  const fs::path dir_ = tmp_.path();
 };
 
 TEST(QueryCanonicalKeyTest, RoundTripAllFunctions) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -152,74 +154,148 @@ std::vector<SimpleAggregateQuery> MakeMixedBatch() {
   return batch;
 }
 
-/// Property: the fingerprint path is bit-identical to the string-keyed
-/// reference path for every strategy and thread count, across randomized
-/// schemas — the plan cache is an equivalence, not an approximation.
+/// Interns `batch` through `engine`'s interner, in batch order.
+std::vector<QueryInterner::Id> InternAll(
+    EvalEngine& engine, const std::vector<SimpleAggregateQuery>& batch) {
+  std::vector<QueryInterner::Id> ids;
+  ids.reserve(batch.size());
+  for (const auto& q : batch) ids.push_back(engine.interner().InternQuery(q));
+  return ids;
+}
+
+/// Property: the merged planner (with and without its result cache) is
+/// bit-identical to the naive strategy — one independent scan per query —
+/// at every thread count, across randomized schemas. The plan cache is an
+/// equivalence, not an approximation.
 class PlanCacheDiffTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PlanCacheDiffTest, FingerprintOnOffBitIdenticalAcrossStrategies) {
   auto database = MakeRandomShopDatabase(GetParam());
   const auto batch = MakeMixedBatch();
 
+  // Reference: the naive strategy, serial.
   std::string reference;
-  bool have_reference = false;
-  for (EvalStrategy strategy : {EvalStrategy::kNaive, EvalStrategy::kMerged,
-                                EvalStrategy::kMergedCached}) {
+  {
+    database.relation_cache().Clear();
+    EvalEngine naive(&database, EvalStrategy::kNaive);
+    reference = ResultFingerprint(naive.EvaluateBatch(batch));
+    // The naive strategy plans nothing.
+    EXPECT_EQ(naive.stats().plans_built, 0u);
+    EXPECT_EQ(naive.stats().plan_cache_hits, 0u);
+  }
+  for (EvalStrategy strategy :
+       {EvalStrategy::kMerged, EvalStrategy::kMergedCached}) {
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      for (bool fingerprints : {false, true}) {
-        database.relation_cache().Clear();
-        EvalEngine engine(&database, strategy);
-        engine.SetQueryFingerprints(fingerprints);
-        ThreadPool pool(threads);
-        if (threads > 1) engine.SetThreadPool(&pool);
-        std::string fp = ResultFingerprint(engine.EvaluateBatch(batch));
-        if (!have_reference) {
-          reference = fp;
-          have_reference = true;
-        } else {
-          EXPECT_EQ(fp, reference)
-              << EvalStrategyName(strategy) << " threads=" << threads
-              << " fingerprints=" << (fingerprints ? "on" : "off");
-        }
-        // The string path never touches the plan cache; the fingerprint
-        // path builds each (relation, dim-set) plan at most once.
-        if (!fingerprints || strategy == EvalStrategy::kNaive) {
-          EXPECT_EQ(engine.stats().plans_built, 0u);
-          EXPECT_EQ(engine.stats().plan_cache_hits, 0u);
-        } else {
-          EXPECT_GT(engine.stats().plans_built, 0u);
-        }
-      }
+      database.relation_cache().Clear();
+      EvalEngine engine(&database, strategy);
+      ThreadPool pool(threads);
+      if (threads > 1) engine.SetThreadPool(&pool);
+      EXPECT_EQ(ResultFingerprint(engine.EvaluateBatch(batch)), reference)
+          << EvalStrategyName(strategy) << " threads=" << threads;
+      // Each (relation, dim-set) plan is built at most once per engine.
+      EXPECT_GT(engine.stats().plans_built, 0u);
     }
   }
 }
 
+/// Property: governor charge totals depend on neither the thread count nor
+/// the entry point (EvaluateBatch over queries vs EvaluateInterned over
+/// ids) — same scans, same joins, same cube shells, so charge-identical,
+/// not just result-identical.
 TEST_P(PlanCacheDiffTest, GovernorChargeTotalsMatchAcrossModes) {
   auto database = MakeRandomShopDatabase(GetParam());
   const auto batch = MakeMixedBatch();
 
   for (EvalStrategy strategy : {EvalStrategy::kNaive, EvalStrategy::kMerged,
                                 EvalStrategy::kMergedCached}) {
-    GovernorUsage usage[2];
-    std::string results[2];
-    for (int fingerprints = 0; fingerprints < 2; ++fingerprints) {
-      database.relation_cache().Clear();
-      EvalEngine engine(&database, strategy);
-      engine.SetQueryFingerprints(fingerprints == 1);
-      ResourceGovernor governor;  // unlimited: counts, never trips
-      engine.SetGovernor(&governor);
-      results[fingerprints] = ResultFingerprint(engine.EvaluateBatch(batch));
-      usage[fingerprints] = governor.usage();
+    std::string reference_results;
+    GovernorUsage reference;
+    bool have_reference = false;
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      for (bool by_id : {false, true}) {
+        database.relation_cache().Clear();
+        EvalEngine engine(&database, strategy);
+        ThreadPool pool(threads);
+        if (threads > 1) engine.SetThreadPool(&pool);
+        ResourceGovernor governor;  // unlimited: counts, never trips
+        engine.SetGovernor(&governor);
+        const std::string results = ResultFingerprint(
+            by_id ? engine.EvaluateInterned(InternAll(engine, batch))
+                  : engine.EvaluateBatch(batch));
+        const GovernorUsage usage = governor.usage();
+        if (!have_reference) {
+          reference_results = results;
+          reference = usage;
+          have_reference = true;
+          continue;
+        }
+        const std::string where = std::string(EvalStrategyName(strategy)) +
+                                  " threads=" + std::to_string(threads) +
+                                  (by_id ? " EvaluateInterned"
+                                         : " EvaluateBatch");
+        EXPECT_EQ(results, reference_results) << where;
+        EXPECT_EQ(usage.rows_charged, reference.rows_charged) << where;
+        EXPECT_EQ(usage.cube_groups_charged, reference.cube_groups_charged)
+            << where;
+        EXPECT_EQ(usage.memory_bytes_charged, reference.memory_bytes_charged)
+            << where;
+      }
     }
-    // Same scans, same joins, same cube shells — charge-identical, not
-    // just result-identical.
-    EXPECT_EQ(results[0], results[1]) << EvalStrategyName(strategy);
-    EXPECT_EQ(usage[0].rows_charged, usage[1].rows_charged)
-        << EvalStrategyName(strategy);
-    EXPECT_EQ(usage[0].cube_groups_charged, usage[1].cube_groups_charged)
-        << EvalStrategyName(strategy);
-    EXPECT_EQ(usage[0].memory_bytes_charged, usage[1].memory_bytes_charged)
-        << EvalStrategyName(strategy);
+  }
+}
+
+/// Metamorphic property of the result cache: how a workload is cut into
+/// batches, and in which order its queries arrive, must not change any
+/// query's result. The mixed batch split into two consecutive batches on
+/// one engine, the whole batch re-run on that warm engine (served partly
+/// from the halves' cached slices), and the mixed batch in reverse order
+/// (a different group order, so different rollup reuse) all answer every
+/// query bit-identically to the one-batch run.
+TEST_P(PlanCacheDiffTest, MergedCachedResultsIgnoreBatchSplitAndOrder) {
+  auto database = MakeRandomShopDatabase(GetParam());
+  const auto batch = MakeMixedBatch();
+  const size_t half = batch.size() / 2;
+  const std::vector<SimpleAggregateQuery> first(batch.begin(),
+                                                batch.begin() + half);
+  const std::vector<SimpleAggregateQuery> second(batch.begin() + half,
+                                                 batch.end());
+  const std::vector<SimpleAggregateQuery> reversed(batch.rbegin(),
+                                                   batch.rend());
+
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    ThreadPool pool(threads);
+    auto make_engine = [&] {
+      database.relation_cache().Clear();
+      auto engine =
+          std::make_unique<EvalEngine>(&database, EvalStrategy::kMergedCached);
+      if (threads > 1) engine->SetThreadPool(&pool);
+      return engine;
+    };
+
+    const std::vector<std::optional<double>> one_batch =
+        make_engine()->EvaluateBatch(batch);
+    ASSERT_EQ(one_batch.size(), batch.size());
+
+    auto split_engine = make_engine();
+    std::vector<std::optional<double>> split =
+        split_engine->EvaluateBatch(first);
+    const auto tail = split_engine->EvaluateBatch(second);
+    split.insert(split.end(), tail.begin(), tail.end());
+    EXPECT_EQ(ResultFingerprint(split), ResultFingerprint(one_batch))
+        << "split, threads=" << threads;
+    // The whole batch once more on the same engine: it reads slices the two
+    // halves cached, and must still answer exactly like a cold engine.
+    const size_t hits_before = split_engine->stats().cache_hits;
+    EXPECT_EQ(ResultFingerprint(split_engine->EvaluateBatch(batch)),
+              ResultFingerprint(one_batch))
+        << "warm rerun, threads=" << threads;
+    EXPECT_GT(split_engine->stats().cache_hits, hits_before);
+
+    std::vector<std::optional<double>> backwards =
+        make_engine()->EvaluateBatch(reversed);
+    std::reverse(backwards.begin(), backwards.end());
+    EXPECT_EQ(ResultFingerprint(backwards), ResultFingerprint(one_batch))
+        << "reversed, threads=" << threads;
   }
 }
 
@@ -263,12 +339,8 @@ TEST(PlanCacheReuseTest, EvaluateInternedMatchesEvaluateBatch) {
 
   database.relation_cache().Clear();
   EvalEngine by_id(&database, EvalStrategy::kMergedCached);
-  std::vector<QueryInterner::Id> ids;
-  ids.reserve(batch.size());
-  for (const auto& q : batch) {
-    ids.push_back(by_id.interner().InternQuery(q));
-  }
-  EXPECT_EQ(ResultFingerprint(by_id.EvaluateInterned(ids)), expected);
+  EXPECT_EQ(ResultFingerprint(by_id.EvaluateInterned(InternAll(by_id, batch))),
+            expected);
 }
 
 }  // namespace

@@ -2,9 +2,8 @@
 // probe_pruning on must be bit-identical (FleetVerdictFingerprint) to the
 // unpruned reference, with equal governor charge totals, across the
 // embedded article corpus, thread counts, budgets, and ingestion-mutated
-// databases. Probing runs on the string path only — the naive strategy
-// here — and only under an unlimited governor; the merged fingerprint path
-// never probes. Also pins the probe_verify zero-conflict contract (an
+// databases. Probing runs on the naive strategy only, and only under an
+// unlimited governor; the merged strategies never probe. Also pins the probe_verify zero-conflict contract (an
 // unsound probe bound shows up here before it can ever flip a verdict) and
 // the stale-stats regression: a probe decision must never outlive the
 // data-version bump that invalidates it.
@@ -291,51 +290,41 @@ TEST(ProbePruningDiffTest, ReCheckWithPruningMatchesUnprunedScratch) {
   EXPECT_EQ(core::FleetVerdictFingerprint(*recheck), reference.fingerprint);
 }
 
-// The string evaluation path (naive strategy, or query_fingerprints off)
-// prunes by skipping evaluation outright — work-proportional charging —
-// so core enables it only under an unlimited governor, where it must stay
-// bit-identical to the unpruned run; any budget forces it probe-free.
-TEST(ProbePruningDiffTest, StringPathPrunesOnlyWhenUnbudgeted) {
+// The naive strategy prunes by skipping evaluation outright —
+// work-proportional charging — so the translator enables it only under an
+// unlimited governor, where it must stay bit-identical to the unpruned run;
+// any budget forces it probe-free.
+TEST(ProbePruningDiffTest, NaivePathPrunesOnlyWhenUnbudgeted) {
   corpus::CorpusCase article = corpus::MakeNflCase();
 
-  for (bool naive : {true, false}) {
-    core::CheckOptions pruned;
-    if (naive) {
-      pruned.strategy = db::EvalStrategy::kNaive;
-    } else {
-      pruned.query_fingerprints = false;
-    }
-    pruned.probe_pruning = true;
-    core::CheckOptions reference = pruned;
-    reference.probe_pruning = false;
-    auto pruned_checker =
-        core::AggChecker::Create(&article.database, pruned);
-    ASSERT_TRUE(pruned_checker.ok());
-    auto reference_checker =
-        core::AggChecker::Create(&article.database, reference);
-    ASSERT_TRUE(reference_checker.ok());
-    auto pruned_report = pruned_checker->Check(article.document);
-    ASSERT_TRUE(pruned_report.ok());
-    auto reference_report = reference_checker->Check(article.document);
-    ASSERT_TRUE(reference_report.ok());
-    EXPECT_GT(pruned_report->probe_stats.candidates_probed, 0u)
-        << (naive ? "naive" : "strings");
-    EXPECT_EQ(core::FleetVerdictFingerprint(*pruned_report),
-              core::FleetVerdictFingerprint(*reference_report))
-        << (naive ? "naive" : "strings");
+  core::CheckOptions pruned;
+  pruned.strategy = db::EvalStrategy::kNaive;
+  pruned.probe_pruning = true;
+  core::CheckOptions reference = pruned;
+  reference.probe_pruning = false;
+  auto pruned_checker = core::AggChecker::Create(&article.database, pruned);
+  ASSERT_TRUE(pruned_checker.ok());
+  auto reference_checker =
+      core::AggChecker::Create(&article.database, reference);
+  ASSERT_TRUE(reference_checker.ok());
+  auto pruned_report = pruned_checker->Check(article.document);
+  ASSERT_TRUE(pruned_report.ok());
+  auto reference_report = reference_checker->Check(article.document);
+  ASSERT_TRUE(reference_report.ok());
+  EXPECT_GT(pruned_report->probe_stats.candidates_probed, 0u);
+  EXPECT_EQ(core::FleetVerdictFingerprint(*pruned_report),
+            core::FleetVerdictFingerprint(*reference_report));
 
-    // Under a budget the string path has no way to prune without moving
-    // the governor's exhaustion point, so core keeps it probe-free.
-    core::CheckOptions budgeted = pruned;
-    budgeted.governor.max_row_scans = 20'000;
-    auto budgeted_checker =
-        core::AggChecker::Create(&article.database, budgeted);
-    ASSERT_TRUE(budgeted_checker.ok());
-    auto budgeted_report = budgeted_checker->Check(article.document);
-    ASSERT_TRUE(budgeted_report.ok());
-    EXPECT_EQ(budgeted_report->probe_stats.candidates_probed, 0u)
-        << (naive ? "naive" : "strings");
-  }
+  // Under a budget the naive strategy has no way to prune without moving
+  // the governor's exhaustion point, so the translator keeps it probe-free.
+  core::CheckOptions budgeted = pruned;
+  budgeted.governor.max_row_scans = 20'000;
+  auto budgeted_checker =
+      core::AggChecker::Create(&article.database, budgeted);
+  ASSERT_TRUE(budgeted_checker.ok());
+  auto budgeted_report = budgeted_checker->Check(article.document);
+  ASSERT_TRUE(budgeted_report.ok());
+  EXPECT_EQ(budgeted_report->probe_stats.candidates_probed, 0u);
 }
 
 }  // namespace
